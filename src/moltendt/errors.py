@@ -50,6 +50,12 @@ class InvalidSeedArrow(MoltenDTError):
     exit_code = 1
 
 
+class InconsistentPoset(MoltenDTError):
+    """The atom poset broke an invariant of crystal enumeration: its
+    predecessor relation has a cycle, or an enumerated atom set is not
+    downward closed or comes out twice.  The message names the stage."""
+
+
 class BoundTooSmall(MoltenDTError):
     """The requested truncation bound cannot support the requested output."""
 

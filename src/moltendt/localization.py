@@ -7,6 +7,13 @@ minus arrow deformation pairs) that the slope classifies as contracting
 versus repelling; the framed partition function sums v^index over molten
 crystals, graded by dimension vector in the quantum affine space.
 
+``framed_partition_function`` does not build crystals or call
+``Slope.sign``: one depth-first walk over the atom poset reaches every
+crystal once and updates the index by the weight pairs each new atom adds.
+The gauge weights cancel in pairs, a - b against b - a, so only the arrow
+weights reach the index.  ``enumerate_crystals`` and ``index`` remain as
+the reference path that the walk is tested against.
+
 Weights here live in the displacement plane: the reference-cut depth is
 invisible to the acting torus because it preserves the potential, so the
 kappa component of every weight is zero throughout.
@@ -14,11 +21,14 @@ kappa component of every weight is zero throughout.
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
-from .crystal import Crystal, Framing, build_erc, enumerate_crystals
+from .crystal import Crystal, EmptyRoomConfig, Framing, build_erc
 from .errors import (
+    BoundTooSmall,
+    InconsistentPoset,
     InfeasiblePattern,
     InvalidInterval,
     ValidationError,
@@ -158,15 +168,21 @@ class IndexReport:
         return -self.d0_plus + self.d1_plus - self.d1_minus + self.d0_minus
 
 
-def _framed_steps(q: PeriodicQuiver, framing: Framing, grading: ReferenceGrading):
+def _framed_steps(q: PeriodicQuiver, framing: Framing):
     """Arrow data (src, tgt, disp) with the framing node spelled None."""
 
     steps = [(a.src, a.tgt, a.disp) for a in q.arrows]
     steps.append((None, framing.node, (0, 0)))
     if framing.kind == "d4":
-        dx, dy = grading.disp[framing.seed]
+        dx, dy = q.arrow_by_id[framing.seed].disp
         steps.append((framing.companion, None, (-dx, -dy)))
     return steps
+
+
+def _flip(orientation: str) -> int:
+    if orientation not in ("flipped", "raw"):
+        raise ValidationError(f"unknown weight orientation {orientation!r}")
+    return 1 if orientation == "flipped" else -1
 
 
 def index(
@@ -178,9 +194,14 @@ def index(
     *,
     orientation: str = "flipped",
 ) -> IndexReport:
-    if orientation not in ("flipped", "raw"):
-        raise ValidationError(f"unknown weight orientation {orientation!r}")
-    flip = 1 if orientation == "flipped" else -1
+    """Full sign census of one crystal's tangent weights.
+
+    This is the reference path: it recounts every weight pair with
+    ``Slope.sign``.  ``framed_partition_function`` reaches the same index
+    incrementally and is tested against this census.
+    """
+
+    flip = _flip(orientation)
     by_color: dict = {}
     for node, t, n in crystal.atoms:
         by_color.setdefault(node, []).append(t)
@@ -192,7 +213,7 @@ def index(
     # None marks the framing node, whose single state carries weight zero
     states = dict(by_color)
     states[None] = [(0, 0)]
-    for src, tgt, (dx, dy) in _framed_steps(q, framing, grading):
+    for src, tgt, (dx, dy) in _framed_steps(q, framing):
         for ax, ay in states.get(src, ()):
             for bx, by in states.get(tgt, ()):
                 w = (flip * (bx - ax - dx), flip * (by - ay - dy))
@@ -207,6 +228,29 @@ def index(
     )
 
 
+def _linear_extension(erc: EmptyRoomConfig) -> list:
+    """The ERC's atoms in an order that lists every predecessor first."""
+
+    atoms = erc.atoms()
+    missing = {a: len(erc.predecessors(a)) for a in atoms}
+    ready = [a for a in atoms if not missing[a]]
+    order = []
+    while ready:
+        atom = ready.pop()
+        order.append(atom)
+        for nxt in erc.successors(atom):
+            missing[nxt] -= 1
+            if not missing[nxt]:
+                ready.append(nxt)
+    if len(order) != len(atoms):
+        stuck = min((a for a in atoms if missing[a] > 0), key=erc.sort_key)
+        raise InconsistentPoset(
+            f"crystal walk: the atom poset has no linear extension;"
+            f" atom {stuck!r} lies on or above a predecessor cycle"
+        )
+    return order
+
+
 def framed_partition_function(
     q: PeriodicQuiver,
     grading: ReferenceGrading,
@@ -216,29 +260,99 @@ def framed_partition_function(
     *,
     orientation: str = "flipped",
 ) -> QSeries:
-    """Sum of v^index x^d over molten crystals of at most ``bound`` atoms."""
+    """Sum of v^index x^d over molten crystals of at most ``bound`` atoms.
 
+    One depth-first walk visits every crystal once.  The ERC's atoms get
+    ranks from a linear extension of the poset; a child adds one addable
+    atom of rank above the last atom added.  Listed in rank order, every
+    prefix of a crystal is a crystal, so each crystal has exactly one path.
+
+    The index is kept up to date as atoms join.  Its gauge part drops out:
+    ``Slope.sign`` is antisymmetric, so the same-colour pairs (a, b) and
+    (b, a) cancel, d0_plus equals d0_minus, and the index is
+    flip * (d1_plus - d1_minus).  Adding an atom x of colour c adds only
+    the pairs that involve x: arrows into c against the atoms already
+    present, arrows out of c against those atoms and x itself, and the
+    framing and D4 companion arrows.  The slope becomes the integer key
+    s.t * m + s'.t, with m larger than any |s'.w| that occurs, so a sign
+    is one integer comparison; each colour keeps its atoms' keys sorted,
+    and two bisections count the pairs of each sign along one arrow.
+    """
+
+    flip = _flip(orientation)
     margin = max(len(cycle) for _, cycle in q.potential)
     erc = build_erc(q, grading, framing, bound + margin)
-    bracket = euler_form(q)[1]
-    terms: dict = {}
-    for c in enumerate_crystals(erc, bound):
-        rep = index(q, framing, grading, c, slope, orientation=orientation)
-        terms[c.d] = terms.get(c.d, VRational.zero()) + VRational.vpow(rep.index)
-    return QSeries(bound, bracket, terms)
+    if erc.radius < bound:
+        raise BoundTooSmall(
+            f"atom graph radius {erc.radius} below requested bound {bound}"
+        )
+    atoms = _linear_extension(erc)
+    rank = {a: r for r, a in enumerate(atoms)}
+    steps = _framed_steps(q, framing)
 
+    # colour n is the framing node None, present once with weight zero
+    n = len(q.nodes)
+    color = dict(q.node_index)
+    color[None] = n
+    (sx, sy), (tx, ty) = slope.s, slope.sp
+    # m exceeds |s'.w| for every weight w = b - a - disp compared below
+    m = 2 * max(abs(tx * x + ty * y) for _, (x, y), _ in atoms)
+    m += max(abs(tx * x + ty * y) for _, _, (x, y) in steps) + 1
 
-def worker_count() -> int:
-    """Requested worker count from MOLTENDT_THREADS (a hint; execution is
-    deterministic regardless)."""
+    def key(x, y):
+        return (sx * x + sy * y) * m + tx * x + ty * y
 
-    raw = os.environ.get("MOLTENDT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"MOLTENDT_THREADS={raw!r} is not an integer")
-    if n < 1:
-        raise ValidationError(f"MOLTENDT_THREADS must be positive, got {n}")
-    return n
+    into = [[] for _ in range(n)]
+    out = [[] for _ in range(n)]
+    for src, tgt, disp in steps:
+        if tgt is not None:
+            into[color[tgt]].append((color[src], key(*disp)))
+        if src is not None:
+            out[color[src]].append((color[tgt], key(*disp)))
+    col = [color[a[0]] for a in atoms]
+    keys = [key(*a[1]) for a in atoms]
+    succs = [tuple(rank[b] for b in erc.successors(a)) for a in atoms]
+    missing = [len(erc.predecessors(a)) for a in atoms]
+
+    present = [[] for _ in range(n)] + [[0]]
+    dims = [0] * n
+    counts: Counter = Counter()
+
+    def grow(candidates, size, total):
+        counts[tuple(dims), total] += 1
+        if size == bound:
+            return
+        for i, x in enumerate(candidates):
+            c, kx = col[x], keys[x]
+            delta = 0
+            for src, kd in into[c]:
+                p = present[src]
+                v = kx - kd
+                delta += bisect_left(p, v) + bisect_right(p, v) - len(p)
+            here = present[c]
+            at = bisect_right(here, kx)
+            here.insert(at, kx)
+            for tgt, kd in out[c]:
+                p = present[tgt]
+                v = kx + kd
+                delta += len(p) - bisect_left(p, v) - bisect_right(p, v)
+            dims[c] += 1
+            enabled = []
+            for y in succs[x]:
+                missing[y] -= 1
+                if not missing[y]:
+                    enabled.append(y)
+            rest = candidates[i + 1 :]
+            grow(sorted(rest + enabled) if enabled else rest, size + 1, total + delta)
+            for y in succs[x]:
+                missing[y] += 1
+            dims[c] -= 1
+            del here[at]
+
+    root = rank[erc.root]
+    grow([] if missing[root] else [root], 0, 0)
+    polys: dict = {}
+    for (d, total), k in counts.items():
+        polys.setdefault(d, {})[flip * total] = k
+    terms = {d: VRational.laurent(poly) for d, poly in polys.items()}
+    return QSeries(bound, euler_form(q)[1], terms)

@@ -7,27 +7,33 @@ the known one-side-nilpotent answer for the three-loop geometry.
 """
 
 import itertools
-import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from moltendt import localization
 from moltendt.crystal import build_erc, enumerate_crystals, framing_d4, framing_d6
 from moltendt.errors import (
+    InconsistentPoset,
     InfeasiblePattern,
     InvalidInterval,
     ValidationError,
 )
-from moltendt.geometry import euler_form, load_geometry, reference_grading
+from moltendt.geometry import (
+    builtin_names,
+    euler_form,
+    load_geometry,
+    reference_grading,
+)
 from moltendt.localization import (
     Slope,
     framed_partition_function,
     index,
     make_slope,
     parse_interval,
-    worker_count,
 )
 from moltendt.matchings import toric_diagram
-from moltendt.qspace import VRational
+from moltendt.qspace import QSeries, VRational, series_to_json
 
 
 def setting(name):
@@ -243,14 +249,136 @@ class TestPartitionFunction:
         assert z.twist == euler_form(q)[1]
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("MOLTENDT_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("MOLTENDT_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MOLTENDT_THREADS", "0")
-    with pytest.raises(ValidationError):
-        worker_count()
-    monkeypatch.setenv("MOLTENDT_THREADS", "soup")
-    with pytest.raises(ValidationError):
-        worker_count()
+
+def reference_crystals(q, grading, framing, bound):
+    margin = max(len(cycle) for _, cycle in q.potential)
+    return enumerate_crystals(build_erc(q, grading, framing, bound + margin), bound)
+
+
+def reference_z(q, grading, framing, slope, crystals, bound, orientation):
+    """Z summed crystal by crystal from the full sign census."""
+
+    terms = {}
+    for c in crystals:
+        rep = index(q, framing, grading, c, slope, orientation=orientation)
+        terms[c.d] = terms.get(c.d, VRational.zero()) + VRational.vpow(rep.index)
+    return QSeries(bound, euler_form(q)[1], terms)
+
+
+def framings(q, d):
+    return [framing_d6(q, v) for v in q.nodes] + [
+        framing_d4(q, d, k) for k in range(len(d.corners))
+    ]
+
+
+class TestWalkMatchesReference:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_every_framing_slope_and_orientation(self, name):
+        q, grading, d = setting(name)
+        for fr in framings(q, d):
+            if fr.kind == "d6":
+                s, bound = make_slope(d, corner=0), 6
+            else:
+                s, bound = make_slope(d, corner=fr.corner), 8
+            crystals = reference_crystals(q, grading, fr, bound)
+            for slope in (s, s.negated()):
+                for orientation in ("flipped", "raw"):
+                    got = framed_partition_function(
+                        q, grading, fr, slope, bound, orientation=orientation
+                    )
+                    want = reference_z(
+                        q, grading, fr, slope, crystals, bound, orientation
+                    )
+                    assert series_to_json(got) == series_to_json(want)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        out = {}
+        for name in ("conifold", "spp"):
+            q, grading, d = setting(name)
+            out[name] = [
+                (q, grading, fr, reference_crystals(q, grading, fr, 5))
+                for fr in framings(q, d)
+            ]
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["conifold", "spp"]),
+        pick=st.integers(0, 10),
+        s=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+        sp=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    )
+    def test_random_generic_slopes(self, small, name, pick, s, sp):
+        assume(s != (0, 0) and s[0] * sp[1] - s[1] * sp[0] != 0)
+        slope = Slope(s, sp)
+        q, grading, fr, crystals = small[name][pick % len(small[name])]
+        got = framed_partition_function(q, grading, fr, slope, 5)
+        want = reference_z(q, grading, fr, slope, crystals, 5, "flipped")
+        assert series_to_json(got) == series_to_json(want)
+
+    def test_rejects_unknown_orientation(self):
+        q, grading, d, s = nil_slope("c3", ("z1",))
+        fr = framing_d6(q, 0)
+        with pytest.raises(ValidationError):
+            framed_partition_function(q, grading, fr, s, 2, orientation="up")
+
+
+def atom(k):
+    return (0, (k, 0), 0)
+
+
+class StubErc:
+    """An ERC stand-in on hand-written successor lists of C3 atoms."""
+
+    def __init__(self, q, succs, radius):
+        self.q, self.radius, self.root = q, radius, atom(0)
+        self._succs = {a: tuple(bs) for a, bs in succs.items()}
+        self._preds = {a: () for a in succs}
+        for a, bs in succs.items():
+            for b in bs:
+                self._preds[b] += (a,)
+
+    def atoms(self):
+        return sorted(self._succs)
+
+    def successors(self, a):
+        return self._succs[a]
+
+    def predecessors(self, a):
+        return self._preds[a]
+
+    def sort_key(self, a):
+        return a
+
+
+class ShiftingErc(StubErc):
+    """Atom 1 gains atom 2 as a predecessor once its list has been read."""
+
+    reads = 0
+
+    def predecessors(self, a):
+        preds = super().predecessors(a)
+        if a == atom(1):
+            self.reads += 1
+            if self.reads > 1:
+                return preds + (atom(2),)
+        return preds
+
+
+class TestInconsistentPoset:
+    def test_walk_rejects_predecessor_cycle(self, monkeypatch):
+        q, grading, d, s = nil_slope("c3", ("z0",))
+        succs = {atom(0): [atom(1)], atom(1): [atom(2)], atom(2): [atom(1)]}
+        cyclic = StubErc(q, succs, radius=6)
+        monkeypatch.setattr(localization, "build_erc", lambda *args: cyclic)
+        with pytest.raises(InconsistentPoset, match="crystal walk") as err:
+            framed_partition_function(q, grading, framing_d6(q, 0), s, 3)
+        assert err.value.exit_code == 2
+
+    def test_enumeration_rejects_non_ideal(self):
+        q = load_geometry("c3")
+        erc = ShiftingErc(q, {atom(0): [atom(1)], atom(1): [], atom(2): []}, 4)
+        with pytest.raises(InconsistentPoset, match="enumerate_crystals") as err:
+            enumerate_crystals(erc, 2)
+        assert err.value.exit_code == 2
