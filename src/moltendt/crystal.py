@@ -124,45 +124,21 @@ def _node_token(q: PeriodicQuiver, token: str):
 class EmptyRoomConfig:
     """Atoms reachable from the root within the build radius.
 
-    Predecessor and successor lists are restricted to the built atom set;
-    ``extended`` rebuilds at a larger radius.
+    A holder for what ``build_erc`` sweeps: each atom's distance from the
+    root and its successor and predecessor lists, restricted to the built
+    atom set.
     """
 
-    def __init__(self, q, grading, framing, radius, dist):
+    def __init__(self, q, radius, root, dist, succs, preds):
         self.q = q
-        self.grading = grading
-        self.framing = framing
         self.radius = radius
-        self.root = (framing.node, (0, 0), 0)
+        self.root = root
         self._dist = dist
-        steps = [
-            (a.src, a.tgt, a.disp, grading.count[a.id])
-            for a in q.arrows
-            if a.id in framing.allowed
-        ]
-        self._succs = {}
-        self._preds = {a: [] for a in dist}
-        for atom in dist:
-            node, (tx, ty), n = atom
-            out = []
-            for src, tgt, (dx, dy), m in steps:
-                if src != node:
-                    continue
-                nxt = (tgt, (tx + dx, ty + dy), n + m)
-                if nxt in dist:
-                    out.append(nxt)
-                    self._preds[nxt].append(atom)
-            self._succs[atom] = tuple(out)
-        order = {v: k for k, v in enumerate(q.nodes)}
-        self._key = lambda a: (order[a[0]], a[1], a[2])
-        for atom in self._preds:
-            self._preds[atom] = tuple(sorted(self._preds[atom], key=self._key))
+        self._succs = succs
+        self._preds = preds
 
     def atoms(self):
-        return sorted(self._dist, key=self._key)
-
-    def __contains__(self, atom):
-        return atom in self._dist
+        return sorted(self._dist, key=self.sort_key)
 
     def distance(self, atom) -> int:
         return self._dist[atom]
@@ -174,10 +150,7 @@ class EmptyRoomConfig:
         return self._preds[atom]
 
     def sort_key(self, atom):
-        return self._key(atom)
-
-    def extended(self, radius: int) -> "EmptyRoomConfig":
-        return build_erc(self.q, self.grading, self.framing, radius)
+        return self.q.node_index[atom[0]], atom[1], atom[2]
 
 
 def build_erc(
@@ -186,28 +159,42 @@ def build_erc(
     framing: Framing,
     radius: int,
 ) -> EmptyRoomConfig:
-    """Breadth-first sweep of atoms within ``radius`` arrow steps."""
+    """Breadth-first sweep of atoms within ``radius`` arrow steps.
 
-    steps = [
-        (a.src, a.tgt, a.disp, grading.count[a.id])
-        for a in q.arrows
-        if a.id in framing.allowed
-    ]
+    One pass records each atom's distance and links it to its successors.
+    The outermost layer is swept too but adds no atoms: its arrows into
+    atoms already built must enter both lists, or an atom whose
+    predecessor list is cut short would become addable too early.
+    """
+
+    steps: dict = {}
+    for a in q.arrows:
+        if a.id in framing.allowed:
+            steps.setdefault(a.src, []).append((a.tgt, a.disp, grading.count[a.id]))
     root = (framing.node, (0, 0), 0)
     dist = {root: 0}
+    succs: dict = {}
+    preds: dict = {root: []}
     frontier = [root]
-    for layer in range(1, radius + 1):
-        nxt = []
-        for node, (tx, ty), n in frontier:
-            for src, tgt, (dx, dy), m in steps:
-                if src != node:
-                    continue
-                atom = (tgt, (tx + dx, ty + dy), n + m)
-                if atom not in dist:
-                    dist[atom] = layer
-                    nxt.append(atom)
-        frontier = nxt
-    return EmptyRoomConfig(q, grading, framing, radius, dist)
+    for layer in range(radius + 1):
+        grown = []
+        for atom in frontier:
+            node, (tx, ty), n = atom
+            out = []
+            for tgt, (dx, dy), m in steps.get(node, ()):
+                nxt = (tgt, (tx + dx, ty + dy), n + m)
+                if nxt not in dist:
+                    if layer == radius:
+                        continue
+                    dist[nxt] = layer + 1
+                    preds[nxt] = []
+                    grown.append(nxt)
+                out.append(nxt)
+                preds[nxt].append(atom)
+            succs[atom] = tuple(out)
+        frontier = grown
+    preds = {atom: tuple(ps) for atom, ps in preds.items()}
+    return EmptyRoomConfig(q, radius, root, dist, succs, preds)
 
 
 @dataclass(frozen=True)
@@ -244,7 +231,7 @@ def enumerate_crystals(erc: EmptyRoomConfig, max_atoms: int) -> list[Crystal]:
             for atom in _addable(erc, ideal):
                 grown.add(ideal | {atom})
         levels.append(grown)
-    node_pos = {v: k for k, v in enumerate(erc.q.nodes)}
+    node_pos = erc.q.node_index
     out = []
     for level in levels:
         for ideal in level:

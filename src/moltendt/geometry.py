@@ -102,7 +102,6 @@ class BraneTiling:
             raise ValidationError("tiling graph is not connected")
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
-        self._byid = byid
 
 
 def _parse_tiling(obj: dict) -> BraneTiling:
@@ -150,7 +149,6 @@ class PeriodicQuiver:
         nodes: list,
         arrows: list[Arrow],
         potential: list[tuple[int, tuple[str, ...]]],
-        positions: dict | None = None,
     ):
         if len(set(nodes)) != len(nodes):
             raise ValidationError("quiver node ids are not unique")
@@ -211,7 +209,6 @@ class PeriodicQuiver:
         self.nodes = tuple(nodes)
         self.arrows = tuple(arrows)
         self.potential = tuple((s, tuple(c)) for s, c in potential)
-        self.positions = positions
 
     @functools.cached_property
     def node_index(self) -> dict:
@@ -221,14 +218,13 @@ class PeriodicQuiver:
     def arrow_by_id(self) -> dict[str, Arrow]:
         return {a.id: a for a in self.arrows}
 
-    def term_of(self, arrow_id: str, sign: int) -> tuple[str, ...]:
-        for s, cycle in self.potential:
-            if s == sign and arrow_id in cycle:
-                return cycle
-        raise KeyError(arrow_id)
+    @functools.cached_property
+    def cuts(self) -> tuple:
+        """Every cut of the potential, canonically sorted."""
 
-    def dim(self, vector) -> dict:
-        return dict(zip(self.nodes, vector))
+        from . import matchings
+
+        return tuple(matchings.perfect_matchings(self))
 
     def to_json_dict(self) -> dict:
         return {
@@ -256,7 +252,7 @@ def _parse_quiver(obj: dict) -> PeriodicQuiver:
         if not isinstance(cycle, list):
             raise ParseError(f"potential cycle {cycle!r} must be a list")
         potential.append((sign, tuple(cycle)))
-    return PeriodicQuiver(list(obj["nodes"]), arrows, potential, obj.get("positions"))
+    return PeriodicQuiver(list(obj["nodes"]), arrows, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +304,6 @@ def tiling_to_quiver(t: BraneTiling) -> PeriodicQuiver:
     def head(dart):
         k, rev = dart
         return t.edges[k].black if rev == 0 else t.edges[k].white
-
-    def tail(dart):
-        k, rev = dart
-        return t.edges[k].white if rev == 0 else t.edges[k].black
 
     def dart_shift(dart) -> Vec:
         k, rev = dart
@@ -393,8 +385,7 @@ def tiling_to_quiver(t: BraneTiling) -> PeriodicQuiver:
         )
     potential.sort(key=lambda sc: (-sc[0], sc[1]))
 
-    positions = None
-    return PeriodicQuiver(node_ids, arrows, potential, positions)
+    return PeriodicQuiver(node_ids, arrows, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +458,18 @@ def euler_form(q: PeriodicQuiver):
 
 
 class ReferenceGrading:
-    """Arrow weights (displacement, cut count) against the reference cut.
+    """Cut counts of the arrows against the reference cut ``i0``.
 
-    Paths accumulate these coordinates; every potential term has total
-    weight ((0, 0), 1), which is the central element of the weight lattice.
+    Together with ``Arrow.disp`` they grade paths; every potential term has
+    total weight ((0, 0), 1), which is the central element of the weight
+    lattice.
     """
 
-    def __init__(self, i0: frozenset, disp: dict, count: dict):
+    def __init__(self, i0: frozenset, count: dict):
         self.i0 = i0
-        self.disp = disp
         self.count = count
-
-    def weight(self, arrow_id: str) -> tuple[Vec, int]:
-        return self.disp[arrow_id], self.count[arrow_id]
 
 
 def reference_grading(q: PeriodicQuiver) -> ReferenceGrading:
-    from . import matchings
-
-    cuts = matchings.perfect_matchings(q)
-    i0 = cuts[0].arrows
-    disp = {a.id: a.disp for a in q.arrows}
-    count = {a.id: (1 if a.id in i0 else 0) for a in q.arrows}
-    return ReferenceGrading(i0, disp, count)
+    i0 = q.cuts[0].arrows
+    return ReferenceGrading(i0, {a.id: (1 if a.id in i0 else 0) for a in q.arrows})

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .crystal import Crystal, EmptyRoomConfig, Framing, build_erc
 from .errors import (
-    BoundTooSmall,
     InconsistentPoset,
     InfeasiblePattern,
     InvalidInterval,
@@ -179,29 +178,22 @@ def _framed_steps(q: PeriodicQuiver, framing: Framing):
     return steps
 
 
-def _flip(orientation: str) -> int:
-    if orientation not in ("flipped", "raw"):
-        raise ValidationError(f"unknown weight orientation {orientation!r}")
-    return 1 if orientation == "flipped" else -1
-
-
 def index(
     q: PeriodicQuiver,
     framing: Framing,
     grading: ReferenceGrading,
     crystal: Crystal,
     slope: Slope,
-    *,
-    orientation: str = "flipped",
 ) -> IndexReport:
     """Full sign census of one crystal's tangent weights.
 
     This is the reference path: it recounts every weight pair with
     ``Slope.sign``.  ``framed_partition_function`` reaches the same index
-    incrementally and is tested against this census.
+    incrementally and is tested against this census.  ``grading`` is not
+    read; it keeps its place for callers that pass the arguments by
+    position.
     """
 
-    flip = _flip(orientation)
     by_color: dict = {}
     for node, t, n in crystal.atoms:
         by_color.setdefault(node, []).append(t)
@@ -216,8 +208,7 @@ def index(
     for src, tgt, (dx, dy) in _framed_steps(q, framing):
         for ax, ay in states.get(src, ()):
             for bx, by in states.get(tgt, ()):
-                w = (flip * (bx - ax - dx), flip * (by - ay - dy))
-                census[1][slope.sign(w)] += 1
+                census[1][slope.sign((bx - ax - dx, by - ay - dy))] += 1
     return IndexReport(
         d0_plus=census[0][1],
         d0_minus=census[0][-1],
@@ -257,8 +248,6 @@ def framed_partition_function(
     framing: Framing,
     slope: Slope,
     bound: int,
-    *,
-    orientation: str = "flipped",
 ) -> QSeries:
     """Sum of v^index x^d over molten crystals of at most ``bound`` atoms.
 
@@ -270,7 +259,7 @@ def framed_partition_function(
     The index is kept up to date as atoms join.  Its gauge part drops out:
     ``Slope.sign`` is antisymmetric, so the same-colour pairs (a, b) and
     (b, a) cancel, d0_plus equals d0_minus, and the index is
-    flip * (d1_plus - d1_minus).  Adding an atom x of colour c adds only
+    d1_plus - d1_minus.  Adding an atom x of colour c adds only
     the pairs that involve x: arrows into c against the atoms already
     present, arrows out of c against those atoms and x itself, and the
     framing and D4 companion arrows.  The slope becomes the integer key
@@ -279,13 +268,8 @@ def framed_partition_function(
     and two bisections count the pairs of each sign along one arrow.
     """
 
-    flip = _flip(orientation)
     margin = max(len(cycle) for _, cycle in q.potential)
     erc = build_erc(q, grading, framing, bound + margin)
-    if erc.radius < bound:
-        raise BoundTooSmall(
-            f"atom graph radius {erc.radius} below requested bound {bound}"
-        )
     atoms = _linear_extension(erc)
     rank = {a: r for r, a in enumerate(atoms)}
     steps = _framed_steps(q, framing)
@@ -353,6 +337,6 @@ def framed_partition_function(
     grow([] if missing[root] else [root], 0, 0)
     polys: dict = {}
     for (d, total), k in counts.items():
-        polys.setdefault(d, {})[flip * total] = k
+        polys.setdefault(d, {})[total] = k
     terms = {d: VRational.laurent(poly) for d, poly in polys.items()}
     return QSeries(bound, euler_form(q)[1], terms)

@@ -101,17 +101,17 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     nterms = len(cycles)
     # an arrow repeated inside one of its terms can never belong to a cut
     candidates = []
-    term_of: dict[str, list[int]] = {}
+    terms_of: dict[str, list[int]] = {}
     for a in q.arrows:
         hits = [
             (t, cyc.count(a.id)) for t, cyc in enumerate(cycles) if a.id in cyc
         ]
         if all(c == 1 for _, c in hits):
             candidates.append(a.id)
-            term_of[a.id] = [t for t, _ in hits]
+            terms_of[a.id] = [t for t, _ in hits]
     pool: list[set[str]] = [set() for _ in range(nterms)]
     for aid in candidates:
-        for t in term_of[aid]:
+        for t in terms_of[aid]:
             pool[t].add(aid)
 
     solutions: list[frozenset] = []
@@ -125,13 +125,13 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
             return
         t = min(open_terms, key=lambda t: (len(pool[t] - removed), t))
         for aid in sorted(pool[t] - removed):
-            hit = term_of[aid]
+            hit = terms_of[aid]
             if any(covered[u] for u in hit):
                 continue
             blocked = [
                 x
                 for x in candidates
-                if x not in removed and x != aid and set(term_of[x]) & set(hit)
+                if x not in removed and x != aid and set(terms_of[x]) & set(hit)
             ]
             chosen.append(aid)
             for u in hit:
@@ -187,9 +187,8 @@ def _hull(points: list[Vec]) -> list[Vec]:
 
 
 def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
-    cuts = perfect_matchings(q)
     points: dict[Vec, list[Cut]] = {}
-    for c in cuts:
+    for c in q.cuts:
         points.setdefault(c.point, []).append(c)
     ccw = _hull(list(points))
     corners = tuple([ccw[0]] + ccw[:0:-1])  # clockwise from the lex-least corner
@@ -233,7 +232,7 @@ def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
             if inside:
                 i_int += 1
     return ToricDiagramData(
-        cuts=tuple(cuts),
+        cuts=q.cuts,
         points={p: tuple(cs) for p, cs in points.items()},
         corners=corners,
         sides=tuple(sides),
@@ -276,12 +275,6 @@ class SideZigZag:
 class ZigZagData:
     delta: tuple
     sides: tuple
-
-    def for_side(self, name: str) -> SideZigZag:
-        for sz in self.sides:
-            if sz.side.name == name:
-                return sz
-        raise KeyError(name)
 
 
 def _successor(q: PeriodicQuiver, sign: int) -> dict[str, str]:

@@ -64,15 +64,6 @@ def _pcontent(p):
     return c or 1
 
 
-def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
 def _pdiv_exact(a, b):
     """Exact division of integer polynomials; the caller guarantees b | a."""
     a = list(a)
@@ -147,6 +138,11 @@ def _dadd(a, b):
 
 
 _DEN_ONE = {0: 1}
+
+
+def _check_adams(adams):
+    if adams not in ("v", "-v"):
+        raise ValidationError("adams must be 'v' or '-v', got %r" % (adams,))
 
 
 def _reduce(num, den):
@@ -235,10 +231,6 @@ class VRational:
     @property
     def is_laurent(self):
         return self._den == _DEN_ONE
-
-    @property
-    def is_zero(self):
-        return not self._num
 
     def laurent_dict(self):
         if self._den != _DEN_ONE:
@@ -340,10 +332,9 @@ class VRational:
     def adams(self, k, adams="v"):
         """psi_k.  With adams="v" substitute v -> v^k; with adams="-v"
         substitute v -> (-1)^{k+1} v^k, the rule for -v as line element."""
+        _check_adams(adams)
         if k == 1:
             return self
-        if adams not in ("v", "-v"):
-            raise ValueError("adams must be 'v' or '-v'")
         if adams == "-v" and k % 2 == 0:
             # v -> -v^k: odd exponents pick up a sign
             num = {e * k: (-c if e % 2 else c) for e, c in self._num.items()}
@@ -419,6 +410,18 @@ def _sorted_terms(terms):
     return dict(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
 
+def _merge_terms(a, b):
+    """Termwise sum of two coefficient tables, without zero coefficients."""
+    merged = dict(a)
+    for d, c in b.items():
+        s = merged.get(d, VRational.zero()) + c
+        if s:
+            merged[d] = s
+        else:
+            merged.pop(d, None)
+    return merged
+
+
 class QSeries:
     """Truncated series over the quantum affine space of dimension vectors."""
 
@@ -489,14 +492,7 @@ class QSeries:
             return NotImplemented
         _shape_check(self, other)
         out = QSeries(self.bound, self.twist)
-        merged = dict(self.terms)
-        for d, c in other.terms.items():
-            s = merged.get(d, VRational.zero()) + c
-            if s:
-                merged[d] = s
-            else:
-                merged.pop(d, None)
-        out.terms = _sorted_terms(merged)
+        out.terms = _sorted_terms(_merge_terms(self.terms, other.terms))
         return out
 
     def __sub__(self, other):
@@ -566,14 +562,7 @@ class BpsTable:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ShapeMismatch("tables over different node sets")
-        merged = dict(self.terms)
-        for d, c in other.terms.items():
-            s = merged.get(d, VRational.zero()) + c
-            if s:
-                merged[d] = s
-            else:
-                merged.pop(d, None)
-        return BpsTable(self.nvars, merged, self.bound)
+        return BpsTable(self.nvars, _merge_terms(self.terms, other.terms), self.bound)
 
     def __sub__(self, other):
         if not isinstance(other, BpsTable):
@@ -679,6 +668,7 @@ def _psi(series, k, adams):
 
 def exp_pleth(f, adams="v"):
     """Plethystic exponential on a pairwise commuting support."""
+    _check_adams(adams)
     z = (0,) * f.nvars
     if f.coeff(z):
         raise NonzeroConstantTerm("Exp needs a zero constant term")
@@ -703,6 +693,7 @@ def exp_pleth(f, adams="v"):
 
 def log_pleth(F, adams="v"):
     """Inverse of exp_pleth; needs constant term 1."""
+    _check_adams(adams)
     z = (0,) * F.nvars
     if F.coeff(z) != VRational.one():
         raise NonzeroConstantTerm("Log needs constant term 1")

@@ -75,6 +75,26 @@ class TestErc:
                 for b in erc.predecessors(a):
                     assert a in erc.successors(b)
 
+    def test_successors_are_every_built_step(self):
+        # the outermost layer adds no atoms, but its arrows into atoms
+        # already built must be listed, or those atoms lose predecessors
+        outer = 0
+        for name in ["c3", "conifold", "spp", "pdp3a", "local-p2"]:
+            q, grading, erc = setup(name, 5)
+            built = set(erc.atoms())
+            for atom in built:
+                node, (tx, ty), n = atom
+                steps = [
+                    (a.tgt, (tx + a.disp[0], ty + a.disp[1]), n + grading.count[a.id])
+                    for a in q.arrows
+                    if a.src == node
+                ]
+                want = [b for b in steps if b in built]
+                assert list(erc.successors(atom)) == want
+                if erc.distance(atom) == erc.radius:
+                    outer += len(want)
+        assert outer
+
     def test_conifold_layers_alternate_colors(self):
         q, grading, erc = setup("conifold", 6)
         layers = {}
@@ -84,13 +104,6 @@ class TestErc:
         for dist, atoms in layers.items():
             colors = {a[0] for a in atoms}
             assert colors == {q.nodes[dist % 2]}
-
-    def test_extended_matches_fresh_build(self):
-        q, grading, erc = setup("c3", 3)
-        big = erc.extended(6)
-        q2, g2, fresh = setup("c3", 6)
-        assert sorted(big.atoms()) == sorted(fresh.atoms())
-        assert big.radius == 6
 
     def test_pyramid_slices_nested(self):
         # the fixed-depth slices of the D6 pyramid grow outward: inside a

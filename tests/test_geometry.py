@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from moltendt import matchings
 from moltendt.errors import NoCutError, ParseError, ValidationError
 from moltendt.geometry import (
     PeriodicQuiver,
@@ -19,6 +20,7 @@ from moltendt.geometry import (
     load_geometry,
     reference_grading,
 )
+from moltendt.matchings import toric_diagram
 
 # One white and one black node; three edges wrapping the torus: the honeycomb
 # cell dual to a quiver with one node and three loops.
@@ -144,19 +146,44 @@ class TestBuiltins:
 
 class TestReferenceGrading:
     def test_c3_grading(self):
-        g = reference_grading(load_geometry("c3"))
+        q = load_geometry("c3")
+        g = reference_grading(q)
         assert g.i0 == frozenset({"c"})
-        assert g.disp == {"a": (1, 0), "b": (0, 1), "c": (-1, -1)}
+        assert {a.id: a.disp for a in q.arrows} == {
+            "a": (1, 0),
+            "b": (0, 1),
+            "c": (-1, -1),
+        }
         assert g.count == {"a": 0, "b": 0, "c": 1}
+
+    def test_reference_cut_is_the_first_diagram_cut(self):
+        for name in builtin_names():
+            q = load_geometry(name)
+            assert reference_grading(q).i0 == toric_diagram(q).cuts[0].arrows, name
+
+    def test_cuts_enumerated_once_per_quiver(self, monkeypatch):
+        calls = []
+        real = matchings.perfect_matchings
+
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(matchings, "perfect_matchings", counting)
+        q = load_geometry("spp")
+        toric_diagram(q)
+        reference_grading(q)
+        assert len(calls) == 1
 
     def test_term_weight_invariant(self):
         # along every potential term the pair (sum d, sum m) is ((0,0), 1)
         for name in builtin_names():
             q = load_geometry(name)
             g = reference_grading(q)
+            disp = {a.id: a.disp for a in q.arrows}
             for _, cycle in q.potential:
-                dx = sum(g.disp[a][0] for a in cycle)
-                dy = sum(g.disp[a][1] for a in cycle)
+                dx = sum(disp[a][0] for a in cycle)
+                dy = sum(disp[a][1] for a in cycle)
                 assert (dx, dy) == (0, 0), name
                 assert sum(g.count[a] for a in cycle) == 1, name
 

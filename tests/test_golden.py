@@ -6,7 +6,8 @@ under the corner slope and under its negation.  D6 framings use the
 slope of corner 0, D4 framings the slope of their own corner.  A
 refactor must leave every digest unchanged.
 
-To re-record the fixture after a deliberate change of output::
+To re-record the fixture after a deliberate change of output, run this
+from the repository root with ``PYTHONPATH=src``::
 
     import json
     from tests.test_golden import FIXTURE, BOUND, digests

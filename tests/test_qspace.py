@@ -18,6 +18,7 @@ from moltendt.errors import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
     ShapeMismatch,
+    ValidationError,
 )
 from moltendt.qspace import (
     BpsTable,
@@ -198,6 +199,17 @@ class TestPleth:
         f = mono(2, TWISTED, (1, 0)) + mono(2, TWISTED, (0, 1))
         with pytest.raises(NonCommutingSupport):
             exp_pleth(f)
+
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_unknown_adams_convention_rejected(self, bound):
+        f = mono(bound, ((0,),), (1,), V)
+        with pytest.raises(ValidationError, match="adams") as err:
+            exp_pleth(f, adams="w")
+        assert err.value.exit_code == 1
+        with pytest.raises(ValidationError, match="adams"):
+            log_pleth(QSeries.unit(bound, ((0,),)) + f, adams="w")
+        with pytest.raises(ValidationError, match="adams"):
+            V.adams(1, adams="w")
 
     def test_constant_terms_guarded(self):
         with pytest.raises(NonzeroConstantTerm):
