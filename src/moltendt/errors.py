@@ -1,9 +1,11 @@
 """Exception taxonomy.
 
 Every failure mode raised by this package derives from MoltenDTError.  The
-`exit_code` attribute drives the command-line process status: 1 for input that
-cannot be accepted or served, 2 for an integrity violation discovered while
-computing (the data was plausible, the pipeline caught an inconsistency).
+`exit_code` attribute is the process status for a caller that exits on the
+error: 1 for input that cannot be accepted or served, 2 for an integrity
+violation discovered while computing (the data was plausible, the pipeline
+caught an inconsistency).  Every class here is raised somewhere in the
+package; a class comes with the code that raises it.
 """
 
 from __future__ import annotations
@@ -101,39 +103,5 @@ class InfeasiblePattern(MoltenDTError):
 
 class InvalidInterval(MoltenDTError):
     """A side interval refers to unknown sides or is empty."""
-
-    exit_code = 1
-
-
-class NonExactDivision(MoltenDTError):
-    """A wall-crossing coefficient failed to divide exactly where the theory
-    requires a Laurent result."""
-
-
-class MissingFraming(MoltenDTError):
-    """The requested node has no framed series to invert against."""
-
-    exit_code = 1
-
-
-class InconsistentFraming(MoltenDTError):
-    """Two framing nodes produced different unframed series."""
-
-
-class NonGenericStability(MoltenDTError):
-    """Tied slopes on non-commuting rays; the factorization order would
-    matter."""
-
-
-class NonIntegralBps(MoltenDTError):
-    """A BPS coefficient came out non-Laurent."""
-
-
-class PerturbationDisagreement(MoltenDTError):
-    """Two independent attractor perturbations disagreed."""
-
-
-class UnknownFormula(MoltenDTError):
-    """No closed form is available for this geometry (no interior point)."""
 
     exit_code = 1

@@ -15,6 +15,20 @@ dimension vectors are multiplied with the twist x^d x^{d'} = v^{<d,d'>}
 x^{d+d'} for an antisymmetric integer form, and every operation truncates at a
 fixed total degree.
 
+Inverse, plethystic Exp and Log share one triangular recursion, `_solve`,
+which fills its result b one total degree |d| at a time:
+
+    b_0 = first,
+    b_d = scale(|d|) * sum over d' != 0 of a_{d'} b_{d-d'} v^{<d',d-d'>}.
+
+The inverse of a solves a b = 1, so b_0 = c_0^{-1} and scale = -c_0^{-1} for
+the constant term c_0 of a.  Let D multiply x^d by |d|; D is a derivation of
+the twisted product, since |d + d'| = |d| + |d'|.  On a pairwise commuting
+support, F = exp(s) is then exactly the solution of D F = (D s) F: F_0 = 1
+and F_d = |d|^{-1} sum_{d'} |d'| s_{d'} F_{d-d'}.  Exp(f) takes
+s = sum_k psi_k(f)/k.  Log undoes both steps: log F = D^{-1}(F^{-1} D F) and
+Log F = sum_k mu(k)/k psi_k(log F).
+
 No floating point is used anywhere; polynomial gcds run a primitive
 pseudo-remainder sequence over the integers.
 """
@@ -30,6 +44,7 @@ from .errors import (
     NonCommutingSupport,
     NonUnitConstantTerm,
     NonzeroConstantTerm,
+    ParseError,
     ShapeMismatch,
     ValidationError,
 )
@@ -234,7 +249,7 @@ class VRational:
 
     def laurent_dict(self):
         if self._den != _DEN_ONE:
-            raise ValueError("not a Laurent polynomial: %r" % (self,))
+            raise ValidationError("not a Laurent polynomial: %r" % (self,))
         return dict(self._num)
 
     # -- arithmetic
@@ -410,6 +425,22 @@ def _sorted_terms(terms):
     return dict(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
 
+def _clean_terms(nvars, terms):
+    """Checked outside input: a coefficient table with merged duplicates."""
+    clean = {}
+    for d, c in (terms or {}).items():
+        d = tuple(int(x) for x in d)
+        if len(d) != nvars:
+            raise ValidationError("dimension vector %r has wrong length" % (d,))
+        if any(x < 0 for x in d):
+            raise ValidationError("dimension vector %r has a negative entry" % (d,))
+        c = VRational._coerce(c)
+        if c is NotImplemented:
+            raise ValidationError("coefficient of %r is not VRational or int" % (d,))
+        clean[d] = clean.get(d, VRational.zero()) + c
+    return clean
+
+
 def _merge_terms(a, b):
     """Termwise sum of two coefficient tables, without zero coefficients."""
     merged = dict(a)
@@ -432,23 +463,20 @@ class QSeries:
         if self.bound < 0:
             raise ValidationError("bound must be nonnegative")
         self.twist = _check_twist(twist)
-        clean = {}
-        for d, c in (terms or {}).items():
-            d = tuple(int(x) for x in d)
-            if len(d) != len(self.twist):
-                raise ValidationError(
-                    "dimension vector %r has wrong length" % (d,)
-                )
-            if any(x < 0 for x in d):
-                raise ValidationError("dimension vector %r has a negative entry" % (d,))
-            if sum(d) > self.bound:
-                continue
-            c = VRational._coerce(c)
-            if c is NotImplemented:
-                raise ValidationError("coefficient of %r is not VRational or int" % (d,))
-            if c:
-                clean[d] = clean.get(d, VRational.zero()) + c
-        self.terms = _sorted_terms({d: c for d, c in clean.items() if c})
+        clean = _clean_terms(self.nvars, terms)
+        self.terms = _sorted_terms(
+            {d: c for d, c in clean.items() if c and sum(d) <= self.bound}
+        )
+
+    def _with(self, terms):
+        """A series of this bound and twist from terms this module computed:
+        zero coefficients are dropped and the rest sorted, nothing else is
+        checked.  Outside input goes through ``QSeries(...)``."""
+        out = QSeries.__new__(QSeries)
+        out.bound = self.bound
+        out.twist = self.twist
+        out.terms = _sorted_terms({d: c for d, c in terms.items() if c})
+        return out
 
     @property
     def nvars(self):
@@ -456,9 +484,7 @@ class QSeries:
 
     @classmethod
     def unit(cls, bound, twist):
-        t = cls(bound, twist)
-        t.terms = {(0,) * len(t.twist): VRational.one()}
-        return t
+        return cls(bound, twist, {(0,) * len(twist): 1})
 
     @classmethod
     def monomial(cls, bound, twist, d, c=1):
@@ -469,31 +495,19 @@ class QSeries:
 
     def constant_part(self):
         z = (0,) * self.nvars
-        out = QSeries(self.bound, self.twist)
-        c = self.terms.get(z)
-        if c:
-            out.terms = {z: c}
-        return out
+        return self._with({z: self.coeff(z)})
 
     def support(self):
         return list(self.terms)
 
     def scale(self, c):
-        c = VRational._coerce(c)
-        out = QSeries(self.bound, self.twist)
-        if c:
-            out.terms = _sorted_terms(
-                {d: x for d, x in ((d, v * c) for d, v in self.terms.items()) if x}
-            )
-        return out
+        return self._with({d: v * c for d, v in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         _shape_check(self, other)
-        out = QSeries(self.bound, self.twist)
-        out.terms = _sorted_terms(_merge_terms(self.terms, other.terms))
-        return out
+        return self._with(_merge_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -501,9 +515,7 @@ class QSeries:
         return self + (-other)
 
     def __neg__(self):
-        out = QSeries(self.bound, self.twist)
-        out.terms = {d: -c for d, c in self.terms.items()}
-        return out
+        return self._with({d: -c for d, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -533,16 +545,7 @@ class BpsTable:
     def __init__(self, nvars, terms=None, bound=None):
         self.nvars = int(nvars)
         self.bound = bound
-        clean = {}
-        for d, c in (terms or {}).items():
-            d = tuple(int(x) for x in d)
-            if len(d) != self.nvars:
-                raise ValidationError("dimension vector %r has wrong length" % (d,))
-            if any(x < 0 for x in d):
-                raise ValidationError("dimension vector %r has a negative entry" % (d,))
-            c = VRational._coerce(c)
-            if c:
-                clean[d] = clean.get(d, VRational.zero()) + c
+        clean = _clean_terms(self.nvars, terms)
         self.terms = _sorted_terms({d: c for d, c in clean.items() if c})
 
     def coeff(self, d):
@@ -604,31 +607,45 @@ def qmul(a, b):
             d = tuple(x + y for x, y in zip(d1, d2))
             c = (c1 * c2).shift(tw)
             acc = out.get(d)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[d] = acc
-            else:
-                out.pop(d, None)
-    r = QSeries(a.bound, a.twist)
-    r.terms = _sorted_terms(out)
-    return r
+            out[d] = c if acc is None else acc + c
+    return a._with(out)
+
+
+def _solve(a, first, scale):
+    """The triangular recursion of the module docstring, by total degree."""
+    z = (0,) * a.nvars
+    # <d', e> = -e . (T d') for the antisymmetric twist T
+    steps = [
+        (d1, sum(d1), _twist_vec(a.twist, d1), c1)
+        for d1, c1 in a.terms.items()
+        if any(d1)
+    ]
+    out = {z: first}
+    by_degree = [[z]]
+    for n in range(1, a.bound + 1):
+        acc = {}
+        for d1, s1, t1, c1 in steps:
+            if s1 > n:
+                continue
+            for d2 in by_degree[n - s1]:
+                d = tuple(x + y for x, y in zip(d1, d2))
+                c = (c1 * out[d2]).shift(-_dot(d2, t1))
+                prev = acc.get(d)
+                acc[d] = c if prev is None else prev + c
+        k = scale(n)
+        for d, c in acc.items():
+            out[d] = c * k
+        by_degree.append(list(acc))
+    return a._with(out)
 
 
 def qinv(a):
-    """Two-sided inverse by Neumann series; needs an invertible constant term."""
-    z = (0,) * a.nvars
-    c0 = a.coeff(z)
+    """Two-sided inverse; needs an invertible constant term."""
+    c0 = a.coeff((0,) * a.nvars)
     if not c0:
         raise NonUnitConstantTerm("constant term is zero")
-    rest = (a - a.constant_part()).scale(VRational.one() / c0)
-    out = QSeries.unit(a.bound, a.twist)
-    term = QSeries.unit(a.bound, a.twist)
-    for _ in range(a.bound):
-        term = qmul(term, -rest)
-        if not term.terms:
-            break
-        out = out + term
-    return out.scale(VRational.one() / c0)
+    inv = VRational.one() / c0
+    return _solve(a, inv, lambda n: -inv)
 
 
 def _check_commuting(series):
@@ -655,68 +672,49 @@ def _mobius(k):
     return out
 
 
-def _psi(series, k, adams):
-    out = QSeries(series.bound, series.twist)
+def _adams_sum(series, weight, adams):
+    """sum over k >= 1 of weight(k) psi_k(series), where psi_k sends c x^d to
+    c.adams(k) x^{kd}; terms beyond the bound are dropped."""
     terms = {}
-    for d, c in series.terms.items():
-        if k * sum(d) > series.bound:
+    for k in range(1, series.bound + 1):
+        w = weight(k)
+        if not w:
             continue
-        terms[tuple(k * x for x in d)] = c.adams(k, adams)
-    out.terms = _sorted_terms(terms)
-    return out
+        for d, c in series.terms.items():
+            if k * sum(d) <= series.bound:
+                kd = tuple(k * x for x in d)
+                terms[kd] = terms.get(kd, VRational.zero()) + w * c.adams(k, adams)
+    return series._with(terms)
+
+
+def _grade(series):
+    """D: multiply the coefficient of x^d by |d|."""
+    return series._with({d: c * sum(d) for d, c in series.terms.items()})
 
 
 def exp_pleth(f, adams="v"):
     """Plethystic exponential on a pairwise commuting support."""
     _check_adams(adams)
-    z = (0,) * f.nvars
-    if f.coeff(z):
+    if f.coeff((0,) * f.nvars):
         raise NonzeroConstantTerm("Exp needs a zero constant term")
     _check_commuting(f)
-    s = QSeries(f.bound, f.twist)
-    for k in range(1, f.bound + 1):
-        pk = _psi(f, k, adams)
-        if not pk.terms:
-            continue
-        s = s + pk.scale(VRational.fraction({0: 1}, {0: k}))
-    out = QSeries.unit(f.bound, f.twist)
-    term = QSeries.unit(f.bound, f.twist)
-    fact = 1
-    for n in range(1, f.bound + 1):
-        term = qmul(term, s)
-        if not term.terms:
-            break
-        fact *= n
-        out = out + term.scale(VRational.fraction({0: 1}, {0: fact}))
-    return out
+    s = _adams_sum(f, lambda k: VRational.fraction({0: 1}, {0: k}), adams)
+    return _solve(
+        _grade(s), VRational.one(), lambda n: VRational.fraction({0: 1}, {0: n})
+    )
 
 
 def log_pleth(F, adams="v"):
     """Inverse of exp_pleth; needs constant term 1."""
     _check_adams(adams)
-    z = (0,) * F.nvars
-    if F.coeff(z) != VRational.one():
+    if F.coeff((0,) * F.nvars) != VRational.one():
         raise NonzeroConstantTerm("Log needs constant term 1")
     _check_commuting(F)
-    r = F - F.constant_part()
-    logF = QSeries(F.bound, F.twist)
-    term = QSeries.unit(F.bound, F.twist)
-    for n in range(1, F.bound + 1):
-        term = qmul(term, r)
-        if not term.terms:
-            break
-        c = VRational.fraction({0: -1 if n % 2 == 0 else 1}, {0: n})
-        logF = logF + term.scale(c)
-    out = QSeries(F.bound, F.twist)
-    for k in range(1, F.bound + 1):
-        mu = _mobius(k)
-        if not mu:
-            continue
-        pk = _psi(logF, k, adams)
-        if not pk.terms:
-            continue
-        out = out + pk.scale(VRational.fraction({0: mu}, {0: k}))
-    return out
+    dlog = qmul(qinv(F), _grade(F))
+    logF = F._with({d: c / sum(d) for d, c in dlog.terms.items()})
+    return _adams_sum(
+        logF, lambda k: VRational.fraction({0: _mobius(k)}, {0: k}), adams
+    )
 
 
 def apply_symmetry(obj, which, node=None):
@@ -729,9 +727,7 @@ def apply_symmetry(obj, which, node=None):
         if isinstance(obj, QSeries):
             if not 0 <= node < obj.nvars:
                 raise ValidationError("node index %r out of range" % (node,))
-            out = QSeries(obj.bound, obj.twist)
-            out.terms = {d: c.shift(sign * d[node]) for d, c in obj.terms.items()}
-            return out
+            return obj._with({d: c.shift(sign * d[node]) for d, c in obj.terms.items()})
         if isinstance(obj, BpsTable):
             if not 0 <= node < obj.nvars:
                 raise ValidationError("node index %r out of range" % (node,))
@@ -748,9 +744,7 @@ def apply_symmetry(obj, which, node=None):
                     raise NonCentralSigma(
                         "support vector %r is not central for the twist" % (d,)
                     )
-            out = QSeries(obj.bound, obj.twist)
-            out.terms = {d: c.bar() for d, c in obj.terms.items()}
-            return out
+            return obj._with({d: c.bar() for d, c in obj.terms.items()})
         if isinstance(obj, BpsTable):
             return obj.bar()
         raise ValidationError("unsupported operand %r" % type(obj).__name__)
@@ -829,12 +823,15 @@ def _coeff_from_json(poly, den):
 
 
 def series_from_json(obj, twist):
-    out = QSeries(obj["bound"], twist)
-    terms = {}
-    for entry in obj["terms"]:
-        d = tuple(int(x) for x in entry["d"])
-        c = _coeff_from_json(entry["poly"], entry.get("den"))
-        if c:
-            terms[d] = c
-    out.terms = _sorted_terms(terms)
-    return out
+    """Inverse of series_to_json.  A malformed document raises ParseError; a
+    term the series cannot hold (wrong length, negative entry) raises
+    ValidationError."""
+    try:
+        bound = int(obj["bound"])
+        terms = {}
+        for entry in obj["terms"]:
+            d = tuple(int(x) for x in entry["d"])
+            terms[d] = _coeff_from_json(entry["poly"], entry.get("den"))
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ParseError("malformed series object: %r" % (exc,)) from exc
+    return QSeries(bound, twist, terms)

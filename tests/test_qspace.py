@@ -17,6 +17,7 @@ from moltendt.errors import (
     NonCommutingSupport,
     NonUnitConstantTerm,
     NonzeroConstantTerm,
+    ParseError,
     ShapeMismatch,
     ValidationError,
 )
@@ -90,6 +91,11 @@ class TestVRational:
 
     def test_hashable_value_semantics(self):
         assert len({lau({2: 1}), lau({3: 1, 1: -1}) / lau({1: 1, -1: -1})}) == 1
+
+    def test_laurent_dict_rejects_non_laurent(self):
+        with pytest.raises(ValidationError, match="Laurent") as err:
+            VRational.fraction({0: 1}, {0: 1, 1: 1}).laurent_dict()
+        assert err.value.exit_code == 1
 
     def test_pow(self):
         assert V**3 == lau({3: 1})
@@ -272,6 +278,29 @@ class TestJson:
         assert term["den"] == {"0": -1, "2": 1}
         assert series_from_json(obj, FLAT) == a
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"bound": 2},
+            {"terms": []},
+            {"bound": 2, "terms": [{"poly": {"0": 1}}]},
+            {"bound": 2, "terms": [{"d": [1]}]},
+            {"bound": 2, "terms": [{"d": [1], "poly": "x"}]},
+        ],
+        ids=["no-terms", "no-bound", "no-d", "no-poly", "poly-not-object"],
+    )
+    def test_malformed_document_raises_parse_error(self, obj):
+        with pytest.raises(ParseError):
+            series_from_json(obj, ((0,),))
+
+    @pytest.mark.parametrize(
+        "d", [[1, 1], [-1]], ids=["wrong-length", "negative"]
+    )
+    def test_invalid_dimension_vector_raises_validation_error(self, d):
+        obj = {"bound": 2, "terms": [{"d": d, "poly": {"0": 1}}]}
+        with pytest.raises(ValidationError, match="dimension vector"):
+            series_from_json(obj, ((0,),))
+
     def test_serialization_is_order_stable(self):
         a = mono(2, FLAT, (1, 0)) + mono(2, FLAT, (0, 1), V)
         b = mono(2, FLAT, (0, 1), V) + mono(2, FLAT, (1, 0))
@@ -287,10 +316,84 @@ coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map
 dims = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda d: sum(d) <= 3)
 
 
-def _series(twist):
+def _series(twist, bound=3):
     return st.dictionaries(dims, coeffs, max_size=4).map(
-        lambda terms: QSeries(3, twist, terms)
+        lambda terms: QSeries(bound, twist, terms)
     )
+
+
+# Commuting supports: anything over the flat twist, or multiples of one
+# vector over the twisted form.  Bound 4 reaches mu(4) = 0 in Log.
+rays = st.tuples(
+    st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+    st.dictionaries(st.integers(1, 4), coeffs, max_size=3),
+).map(
+    lambda ray: QSeries(
+        4, TWISTED, {tuple(k * x for x in ray[0]): c for k, c in ray[1].items()}
+    )
+)
+commuting = st.one_of(_series(FLAT, bound=4), rays)
+
+# Constant terms for qinv, with non-monomials whose inverse is not Laurent.
+units = st.one_of(
+    st.sampled_from([ONE, V, lau({0: 1, 1: 1}), lau({0: 2, -1: -1}), lau({0: 3})]),
+    coeffs.filter(bool),
+)
+
+# The loops below are the series definitions of the inverse, Exp and Log;
+# qspace solves the same series degree by degree, so they are its oracles.
+
+MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0}
+
+
+def _frac(p, q):
+    return VRational.fraction({0: p}, {0: q})
+
+
+def neumann_inverse(a):
+    """c0^{-1} sum_n (-c0^{-1} r)^n for a = c0 + r."""
+    inv_c0 = ONE / a.coeff((0,) * a.nvars)
+    step = (a - a.constant_part()).scale(-inv_c0)
+    out = term = QSeries.unit(a.bound, a.twist)
+    for _ in range(a.bound):
+        term = qmul(term, step)
+        out = out + term
+    return out.scale(inv_c0)
+
+
+def adams_sum(f, weight, adams):
+    out = QSeries(f.bound, f.twist)
+    for k in range(1, f.bound + 1):
+        out = out + QSeries(
+            f.bound,
+            f.twist,
+            {
+                tuple(k * x for x in d): c.adams(k, adams) * weight(k)
+                for d, c in f.terms.items()
+            },
+        )
+    return out
+
+
+def exp_by_definition(f, adams):
+    """sum_n s^n / n! for s = sum_k psi_k(f) / k."""
+    s = adams_sum(f, lambda k: _frac(1, k), adams)
+    out = term = QSeries.unit(f.bound, f.twist)
+    for n in range(1, f.bound + 1):
+        term = qmul(term, s).scale(_frac(1, n))
+        out = out + term
+    return out
+
+
+def log_by_definition(F, adams):
+    """sum_k mu(k)/k psi_k(L) for L = sum_n (-1)^{n+1} r^n / n, F = 1 + r."""
+    r = F - F.constant_part()
+    log = QSeries(F.bound, F.twist)
+    term = QSeries.unit(F.bound, F.twist)
+    for n in range(1, F.bound + 1):
+        term = qmul(term, r)
+        log = log + term.scale(_frac((-1) ** (n + 1), n))
+    return adams_sum(log, lambda k: _frac(MOBIUS[k], k), adams)
 
 
 class TestFuzz:
@@ -311,6 +414,24 @@ class TestFuzz:
         u = QSeries.unit(3, TWISTED) + a - a.constant_part()
         assert qmul(u, qinv(u)) == QSeries.unit(3, TWISTED)
         assert qmul(qinv(u), u) == QSeries.unit(3, TWISTED)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_series(TWISTED), units)
+    def test_qinv_matches_neumann_series(self, a, c0):
+        u = a - a.constant_part() + QSeries.unit(3, TWISTED).scale(c0)
+        assert qinv(u) == neumann_inverse(u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(commuting, st.sampled_from(["v", "-v"]))
+    def test_exp_matches_definition(self, a, adams):
+        f = a - a.constant_part()
+        assert exp_pleth(f, adams=adams) == exp_by_definition(f, adams)
+
+    @settings(max_examples=40, deadline=None)
+    @given(commuting, st.sampled_from(["v", "-v"]))
+    def test_log_matches_definition(self, a, adams):
+        F = QSeries.unit(a.bound, a.twist) + a - a.constant_part()
+        assert log_pleth(F, adams=adams) == log_by_definition(F, adams)
 
     @settings(max_examples=40, deadline=None)
     @given(_series(FLAT))
