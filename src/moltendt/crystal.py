@@ -8,6 +8,17 @@ weight and source coincide in the Jacobian algebra.  Molten crystals are
 the finite downward-closed subsets of this poset; their dimension vectors
 count atoms per color.
 
+Atoms are graded by cut count: an arrow weighs the number of cuts that
+hold it, and an atom's grade is the weight of a path from the root to it.
+Each cut minus the reference cut sums to zero around every potential
+term, so it counts the same along any two paths with the same ends in the
+plane; with the depth added back, the grade depends only on the atom, and
+each arrow in some cut raises it by at least 1.  A crystal of at most b
+atoms holds a predecessor chain from the root to each of its atoms, so it
+holds only atoms of grade at most max_w * (b - 1), max_w the largest
+weight.  Those atoms form a down-set with whole predecessor lists, and
+listing them by grade lists every predecessor first.
+
 Atoms are plain tuples (node, (tx, ty), n), ordered canonically by node
 position, translation, then depth.
 """
@@ -122,26 +133,25 @@ def _node_token(q: PeriodicQuiver, token: str):
 
 
 class EmptyRoomConfig:
-    """Atoms reachable from the root within the build radius.
+    """Atoms that a crystal of at most ``max_atoms`` atoms can hold.
 
-    A holder for what ``build_erc`` sweeps: each atom's distance from the
-    root and its successor and predecessor lists, restricted to the built
-    atom set.
+    A holder for what ``build_erc`` sweeps: each atom's grade and its
+    successor and predecessor lists, restricted to the built atom set.
     """
 
-    def __init__(self, q, radius, root, dist, succs, preds):
+    def __init__(self, q, max_atoms, root, grades, succs, preds):
         self.q = q
-        self.radius = radius
+        self.max_atoms = max_atoms
         self.root = root
-        self._dist = dist
+        self._grades = grades
         self._succs = succs
         self._preds = preds
 
     def atoms(self):
-        return sorted(self._dist, key=self.sort_key)
+        return sorted(self._grades, key=lambda a: (self._grades[a], self.sort_key(a)))
 
-    def distance(self, atom) -> int:
-        return self._dist[atom]
+    def grade(self, atom) -> int:
+        return self._grades[atom]
 
     def successors(self, atom):
         return self._succs[atom]
@@ -157,44 +167,53 @@ def build_erc(
     q: PeriodicQuiver,
     grading: ReferenceGrading,
     framing: Framing,
-    radius: int,
+    max_atoms: int,
 ) -> EmptyRoomConfig:
-    """Breadth-first sweep of atoms within ``radius`` arrow steps.
+    """Every atom of grade at most ``max_w * (max_atoms - 1)``, with links.
 
-    One pass records each atom's distance and links it to its successors.
-    The outermost layer is swept too but adds no atoms: its arrows into
-    atoms already built must enter both lists, or an atom whose
-    predecessor list is cut short would become addable too early.
+    These are all the atoms a crystal of at most ``max_atoms`` atoms can
+    hold, each with its whole predecessor list (see the module docstring).
+    The sweep takes the grades in rising order.  An atom reached at two
+    grades raises ``InconsistentPoset``; an allowed arrow in no cut raises
+    ``ValidationError``, since the grade would not rise along it.
     """
 
     steps: dict = {}
     for a in q.arrows:
         if a.id in framing.allowed:
-            steps.setdefault(a.src, []).append((a.tgt, a.disp, grading.count[a.id]))
+            w = sum(a.id in cut.arrows for cut in q.cuts)
+            if not w:
+                raise ValidationError(
+                    f"build_erc: arrow {a.id!r} lies in no cut,"
+                    " so it cannot raise the atom grade"
+                )
+            steps.setdefault(a.src, []).append((a.tgt, a.disp, grading.count[a.id], w))
+    top = max((w for ss in steps.values() for *_, w in ss), default=0) * (max_atoms - 1)
     root = (framing.node, (0, 0), 0)
-    dist = {root: 0}
+    grades = {root: 0}
     succs: dict = {}
     preds: dict = {root: []}
-    frontier = [root]
-    for layer in range(radius + 1):
-        grown = []
-        for atom in frontier:
+    layers = [[root]] + [[] for _ in range(top)]
+    for g, layer in enumerate(layers):
+        for atom in layer:
             node, (tx, ty), n = atom
             out = []
-            for tgt, (dx, dy), m in steps.get(node, ()):
+            for tgt, (dx, dy), m, w in steps.get(node, ()):
                 nxt = (tgt, (tx + dx, ty + dy), n + m)
-                if nxt not in dist:
-                    if layer == radius:
+                if nxt not in grades:
+                    if g + w > top:
                         continue
-                    dist[nxt] = layer + 1
-                    preds[nxt] = []
-                    grown.append(nxt)
+                    grades[nxt] = g + w
+                    layers[g + w].append(nxt)
+                elif grades[nxt] != g + w:
+                    raise InconsistentPoset(
+                        f"build_erc: atom {nxt!r} at grades {grades[nxt]} and {g + w}"
+                    )
                 out.append(nxt)
-                preds[nxt].append(atom)
+                preds.setdefault(nxt, []).append(atom)
             succs[atom] = tuple(out)
-        frontier = grown
     preds = {atom: tuple(ps) for atom, ps in preds.items()}
-    return EmptyRoomConfig(q, radius, root, dist, succs, preds)
+    return EmptyRoomConfig(q, max_atoms, root, grades, succs, preds)
 
 
 @dataclass(frozen=True)
@@ -220,9 +239,9 @@ def enumerate_crystals(erc: EmptyRoomConfig, max_atoms: int) -> list[Crystal]:
     predecessor lists.
     """
 
-    if erc.radius < max_atoms:
+    if erc.max_atoms < max_atoms:
         raise BoundTooSmall(
-            f"atom graph radius {erc.radius} below requested bound {max_atoms}"
+            f"atom graph built for {erc.max_atoms} atoms, below bound {max_atoms}"
         )
     levels = [{frozenset()}]
     for size in range(1, max_atoms + 1):

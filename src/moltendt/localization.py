@@ -25,9 +25,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .crystal import Crystal, EmptyRoomConfig, Framing, build_erc
+from .crystal import Crystal, Framing, build_erc
 from .errors import (
-    InconsistentPoset,
     InfeasiblePattern,
     InvalidInterval,
     ValidationError,
@@ -219,29 +218,6 @@ def index(
     )
 
 
-def _linear_extension(erc: EmptyRoomConfig) -> list:
-    """The ERC's atoms in an order that lists every predecessor first."""
-
-    atoms = erc.atoms()
-    missing = {a: len(erc.predecessors(a)) for a in atoms}
-    ready = [a for a in atoms if not missing[a]]
-    order = []
-    while ready:
-        atom = ready.pop()
-        order.append(atom)
-        for nxt in erc.successors(atom):
-            missing[nxt] -= 1
-            if not missing[nxt]:
-                ready.append(nxt)
-    if len(order) != len(atoms):
-        stuck = min((a for a in atoms if missing[a] > 0), key=erc.sort_key)
-        raise InconsistentPoset(
-            f"crystal walk: the atom poset has no linear extension;"
-            f" atom {stuck!r} lies on or above a predecessor cycle"
-        )
-    return order
-
-
 def framed_partition_function(
     q: PeriodicQuiver,
     grading: ReferenceGrading,
@@ -251,10 +227,10 @@ def framed_partition_function(
 ) -> QSeries:
     """Sum of v^index x^d over molten crystals of at most ``bound`` atoms.
 
-    One depth-first walk visits every crystal once.  The ERC's atoms get
-    ranks from a linear extension of the poset; a child adds one addable
-    atom of rank above the last atom added.  Listed in rank order, every
-    prefix of a crystal is a crystal, so each crystal has exactly one path.
+    One depth-first walk visits every crystal once.  Atoms are ranked in
+    grade order, which is a linear extension of the poset; a child adds an
+    addable atom of rank above the last one added.  In rank order every
+    prefix of a crystal is a crystal, so each crystal has one path.
 
     The index is kept up to date as atoms join.  Its gauge part drops out:
     ``Slope.sign`` is antisymmetric, so the same-colour pairs (a, b) and
@@ -268,9 +244,8 @@ def framed_partition_function(
     and two bisections count the pairs of each sign along one arrow.
     """
 
-    margin = max(len(cycle) for _, cycle in q.potential)
-    erc = build_erc(q, grading, framing, bound + margin)
-    atoms = _linear_extension(erc)
+    erc = build_erc(q, grading, framing, bound)
+    atoms = erc.atoms()
     rank = {a: r for r, a in enumerate(atoms)}
     steps = _framed_steps(q, framing)
 
@@ -333,8 +308,7 @@ def framed_partition_function(
             dims[c] -= 1
             del here[at]
 
-    root = rank[erc.root]
-    grow([] if missing[root] else [root], 0, 0)
+    grow([rank[erc.root]], 0, 0)
     polys: dict = {}
     for (d, total), k in counts.items():
         polys.setdefault(d, {})[total] = k

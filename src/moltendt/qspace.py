@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     NonCentralSigma,
@@ -799,11 +799,17 @@ def series_to_json(obj):
     return {"bound": bound, "terms": terms}
 
 
+def _json_int(value):
+    if type(value) is not int:
+        raise ParseError("%r is not an integer" % (value,))
+    return value
+
+
 def _coeff_from_json(poly, den):
     if den is not None:
         return VRational.fraction(
-            {int(e): int(c) for e, c in poly.items()},
-            {int(e): int(c) for e, c in den.items()},
+            {int(e): _json_int(c) for e, c in poly.items()},
+            {int(e): _json_int(c) for e, c in den.items()},
         )
     fracs = {}
     for e, val in poly.items():
@@ -811,26 +817,23 @@ def _coeff_from_json(poly, den):
             p, q = val.split("/")
             fracs[int(e)] = Fraction(int(p), int(q))
         else:
-            fracs[int(e)] = Fraction(int(val))
-    if not fracs:
-        return VRational.zero()
-    lcm = 1
-    for f in fracs.values():
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return VRational.fraction(
-        {e: int(f * lcm) for e, f in fracs.items()}, {0: lcm}
-    )
+            fracs[int(e)] = Fraction(_json_int(val))
+    den = lcm(*(f.denominator for f in fracs.values()))
+    return VRational.fraction({e: int(f * den) for e, f in fracs.items()}, {0: den})
 
 
 def series_from_json(obj, twist):
-    """Inverse of series_to_json.  A malformed document raises ParseError; a
-    term the series cannot hold (wrong length, negative entry) raises
-    ValidationError."""
+    """Inverse of series_to_json.  A malformed document raises ParseError:
+    a missing key, a bound, ``d`` entry or coefficient that is not an
+    integer, or two terms with one ``d``.  A term the series cannot hold
+    (wrong length, negative entry) raises ValidationError."""
     try:
-        bound = int(obj["bound"])
+        bound = _json_int(obj["bound"])
         terms = {}
         for entry in obj["terms"]:
-            d = tuple(int(x) for x in entry["d"])
+            d = tuple(_json_int(x) for x in entry["d"])
+            if d in terms:
+                raise ParseError("two terms with d = %r" % (list(d),))
             terms[d] = _coeff_from_json(entry["poly"], entry.get("den"))
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ParseError("malformed series object: %r" % (exc,)) from exc

@@ -19,7 +19,7 @@ from moltendt.crystal import (
     parse_framing,
 )
 from moltendt.errors import BoundTooSmall, InvalidSeedArrow, ValidationError
-from moltendt.geometry import load_geometry, reference_grading
+from moltendt.geometry import builtin_names, load_geometry, reference_grading
 from moltendt.matchings import toric_diagram
 
 
@@ -40,14 +40,14 @@ def test_count_oracles_self_check():
     assert series_counts(lambda k: k, 4) == [1, 1, 3, 6, 13]
 
 
-def setup(name, radius, framing_spec="d6:first"):
+def setup(name, max_atoms, framing_spec="d6:first"):
     q = load_geometry(name)
     grading = reference_grading(q)
     if framing_spec == "d6:first":
         fr = framing_d6(q, q.nodes[0])
     else:
         fr = parse_framing(q, framing_spec)
-    return q, grading, build_erc(q, grading, fr, radius)
+    return q, grading, build_erc(q, grading, fr, max_atoms)
 
 
 class TestErc:
@@ -76,41 +76,60 @@ class TestErc:
                     assert a in erc.successors(b)
 
     def test_successors_are_every_built_step(self):
-        # the outermost layer adds no atoms, but its arrows into atoms
-        # already built must be listed, or those atoms lose predecessors
-        outer = 0
+        # every arrow between built atoms is listed and raises the grade by
+        # its cut count; an arrow out of the build lands above the top
+        # grade, or the sweep stopped short
+        beyond = 0
         for name in ["c3", "conifold", "spp", "pdp3a", "local-p2"]:
             q, grading, erc = setup(name, 5)
+            weight = {a.id: sum(a.id in c.arrows for c in q.cuts) for a in q.arrows}
+            top = max(weight.values()) * 4
             built = set(erc.atoms())
             for atom in built:
                 node, (tx, ty), n = atom
-                steps = [
-                    (a.tgt, (tx + a.disp[0], ty + a.disp[1]), n + grading.count[a.id])
-                    for a in q.arrows
-                    if a.src == node
-                ]
-                want = [b for b in steps if b in built]
+                want = []
+                for a in q.arrows:
+                    if a.src != node:
+                        continue
+                    (dx, dy), m = a.disp, grading.count[a.id]
+                    b = (a.tgt, (tx + dx, ty + dy), n + m)
+                    g = erc.grade(atom) + weight[a.id]
+                    if b in built:
+                        want.append(b)
+                        assert erc.grade(b) == g
+                    else:
+                        assert g > top
+                        beyond += 1
                 assert list(erc.successors(atom)) == want
-                if erc.distance(atom) == erc.radius:
-                    outer += len(want)
-        assert outer
+        assert beyond
+
+    def test_atoms_listed_by_grade(self):
+        # grade order lists every predecessor before its successors
+        for name in builtin_names():
+            q, grading, erc = setup(name, 6)
+            atoms = erc.atoms()
+            grades = [erc.grade(a) for a in atoms]
+            assert grades == sorted(grades)
+            rank = {a: r for r, a in enumerate(atoms)}
+            for a in atoms:
+                assert all(rank[p] < rank[a] for p in erc.predecessors(a))
 
     def test_conifold_layers_alternate_colors(self):
         q, grading, erc = setup("conifold", 6)
         layers = {}
         for a in erc.atoms():
-            layers.setdefault(erc.distance(a), set()).add(a)
+            layers.setdefault(erc.grade(a), set()).add(a)
         assert layers[0] == {erc.root}
-        for dist, atoms in layers.items():
+        for grade, atoms in layers.items():
             colors = {a[0] for a in atoms}
-            assert colors == {q.nodes[dist % 2]}
+            assert colors == {q.nodes[grade % 2]}
 
     def test_pyramid_slices_nested(self):
         # the fixed-depth slices of the D6 pyramid grow outward: inside a
-        # window well within the build radius, slice(n) is contained in
+        # window well below the top grade, slice(n) is contained in
         # slice(n+1) as (color, translation) sets
         for name in ["c3", "conifold"]:
-            q, grading, erc = setup(name, 16)
+            q, grading, erc = setup(name, 17)
             slices = {}
             for node, t, n in erc.atoms():
                 slices.setdefault(n, set()).add((node, t))
@@ -123,6 +142,36 @@ class TestErc:
                 assert window and window <= slices[n + 1]
 
 
+def check_whole_predecessors(q, fr, b):
+    """A build for b atoms agrees with one for 2b on everything it holds."""
+
+    grading = reference_grading(q)
+    small = build_erc(q, grading, fr, b)
+    large = build_erc(q, grading, fr, 2 * b)
+    for a in small.atoms():
+        assert sorted(small.predecessors(a)) == sorted(large.predecessors(a)), a
+    assert enumerate_crystals(small, b) == enumerate_crystals(large, b)
+
+
+class TestWholePredecessors:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_every_framing(self, name):
+        q = load_geometry(name)
+        d = toric_diagram(q)
+        for v in q.nodes:
+            check_whole_predecessors(q, framing_d6(q, v), 8)
+        for k in range(len(d.corners)):
+            check_whole_predecessors(q, framing_d4(q, d, k), 10)
+
+    @pytest.mark.parametrize("node", [2, 3])
+    def test_spp_d6(self, node):
+        # arrow steps from the root misjudge what a bound needs here: at
+        # node 2, atom (1, (6, 1), 0) lies 8 steps out and its predecessor
+        # (2, (7, 0), 0) lies 14 steps out
+        q = load_geometry("spp")
+        check_whole_predecessors(q, framing_d6(q, node), 8)
+
+
 class TestD4:
     def test_c3_quadrant(self):
         q = load_geometry("c3")
@@ -130,7 +179,8 @@ class TestD4:
         fr = framing_d4(q, toric_diagram(q), 0)
         assert fr.seed == "c"
         assert fr.allowed == frozenset({"a", "b"})
-        erc = build_erc(q, grading, fr, 7)
+        # partitions of at most 8 boxes reach the cells with x + y <= 7
+        erc = build_erc(q, grading, fr, 8)
         assert {(x, y) for _, (x, y), _ in erc.atoms()} == {
             (x, y) for x in range(8) for y in range(8) if x + y <= 7
         }
@@ -236,7 +286,7 @@ class TestEnumeration:
     def test_brute_force_subsets_agree(self):
         # second, dumber oracle: filter every subset of the near atoms
         q, grading, erc = setup("c3", 8)
-        near = [a for a in erc.atoms() if erc.distance(a) <= 3]
+        near = [a for a in erc.atoms() if erc.grade(a) <= 3]
         valid = set()
         for r in range(5):
             for combo in itertools.combinations(near, r):

@@ -7,10 +7,13 @@ frozen from that derivation, not from running the converter.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import moltendt
 from moltendt import matchings
 from moltendt.errors import NoCutError, ParseError, ValidationError
 from moltendt.geometry import (
@@ -83,6 +86,19 @@ class TestBuiltins:
             "local-p2",
             "c2z2-x-c",
         }
+
+    def test_make_catalog_reproduces_catalog(self, tmp_path, monkeypatch):
+        tool = Path(__file__).resolve().parent.parent / "tools" / "make_catalog.py"
+        spec = importlib.util.spec_from_file_location("make_catalog", tool)
+        make_catalog = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_catalog)
+        monkeypatch.setattr(make_catalog, "OUT", tmp_path)
+        assert make_catalog.main() == 0
+        shipped = Path(moltendt.__file__).parent / "catalog"
+        names = sorted(f.name for f in shipped.glob("*.json"))
+        assert sorted(f.name for f in tmp_path.glob("*.json")) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
     def test_c3(self):
         q = load_geometry("c3")

@@ -11,7 +11,6 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from moltendt import localization
 from moltendt.crystal import build_erc, enumerate_crystals, framing_d4, framing_d6
 from moltendt.errors import (
     InconsistentPoset,
@@ -20,6 +19,9 @@ from moltendt.errors import (
     ValidationError,
 )
 from moltendt.geometry import (
+    Arrow,
+    PeriodicQuiver,
+    ReferenceGrading,
     builtin_names,
     euler_form,
     load_geometry,
@@ -251,8 +253,7 @@ class TestPartitionFunction:
 
 
 def reference_crystals(q, grading, framing, bound):
-    margin = max(len(cycle) for _, cycle in q.potential)
-    return enumerate_crystals(build_erc(q, grading, framing, bound + margin), bound)
+    return enumerate_crystals(build_erc(q, grading, framing, bound), bound)
 
 
 def reference_z(q, grading, framing, slope, crystals, bound):
@@ -322,8 +323,8 @@ def atom(k):
 class StubErc:
     """An ERC stand-in on hand-written successor lists of C3 atoms."""
 
-    def __init__(self, q, succs, radius):
-        self.q, self.radius, self.root = q, radius, atom(0)
+    def __init__(self, q, succs, max_atoms):
+        self.q, self.max_atoms, self.root = q, max_atoms, atom(0)
         self._succs = {a: tuple(bs) for a, bs in succs.items()}
         self._preds = {a: () for a in succs}
         for a, bs in succs.items():
@@ -358,13 +359,13 @@ class ShiftingErc(StubErc):
 
 
 class TestInconsistentPoset:
-    def test_walk_rejects_predecessor_cycle(self, monkeypatch):
-        q, grading, d, s = nil_slope("c3", ("z0",))
-        succs = {atom(0): [atom(1)], atom(1): [atom(2)], atom(2): [atom(1)]}
-        cyclic = StubErc(q, succs, radius=6)
-        monkeypatch.setattr(localization, "build_erc", lambda *args: cyclic)
-        with pytest.raises(InconsistentPoset, match="crystal walk") as err:
-            framed_partition_function(q, grading, framing_d6(q, 0), s, 3)
+    def test_erc_rejects_disagreeing_grades(self):
+        # with no arrow counted in the depth, the three C3 arrows close a
+        # loop back to the root at grade 3
+        q = load_geometry("c3")
+        grading = ReferenceGrading(frozenset(), {a.id: 0 for a in q.arrows})
+        with pytest.raises(InconsistentPoset, match="build_erc") as err:
+            build_erc(q, grading, framing_d6(q, 0), 6)
         assert err.value.exit_code == 2
 
     def test_enumeration_rejects_non_ideal(self):
@@ -373,3 +374,25 @@ class TestInconsistentPoset:
         with pytest.raises(InconsistentPoset, match="enumerate_crystals") as err:
             enumerate_crystals(erc, 2)
         assert err.value.exit_code == 2
+
+
+class TestNoCutArrow:
+    def test_walk_names_arrow_in_no_cut(self):
+        # every cut holds one of a, b and one of c, d, so none holds e
+        loops = {"a": (1, 0), "b": (-1, 0), "e": (0, 0), "c": (0, 1), "d": (0, -1)}
+        q = PeriodicQuiver(
+            [0],
+            [Arrow(k, 0, 0, disp) for k, disp in loops.items()],
+            [
+                (1, ("a", "b", "e")),
+                (1, ("c", "d")),
+                (-1, ("a", "b")),
+                (-1, ("e", "c", "d")),
+            ],
+        )
+        assert q.cuts and not any("e" in c.arrows for c in q.cuts)
+        with pytest.raises(ValidationError, match="'e'") as err:
+            framed_partition_function(
+                q, reference_grading(q), framing_d6(q, 0), Slope((1, 0), (0, 1)), 4
+            )
+        assert err.value.exit_code == 1

@@ -294,6 +294,44 @@ class TestJson:
             series_from_json(obj, ((0,),))
 
     @pytest.mark.parametrize(
+        "obj",
+        [
+            {"bound": 2.9, "terms": []},
+            {"bound": "2", "terms": []},
+            {"bound": True, "terms": []},
+            {"bound": 2, "terms": [{"d": [1.5], "poly": {"0": 1}}]},
+            {"bound": 2, "terms": [{"d": ["1"], "poly": {"0": 1}}]},
+            {"bound": 2, "terms": [{"d": [True], "poly": {"0": 1}}]},
+            {"bound": 2, "terms": [{"d": [1], "poly": {"0": 1.5}}]},
+            {"bound": 2, "terms": [{"d": [1], "poly": {"0": False}}]},
+            {"bound": 2, "terms": [{"d": [1], "poly": {"0": 1}, "den": {"0": 2.0}}]},
+        ],
+        ids=[
+            "float-bound",
+            "string-bound",
+            "bool-bound",
+            "float-d",
+            "string-d",
+            "bool-d",
+            "float-poly",
+            "bool-poly",
+            "float-den",
+        ],
+    )
+    def test_non_integer_field_raises_parse_error(self, obj):
+        # int() would truncate 2.9 to 2 and 1.5 to 1, and accept "2" and True
+        with pytest.raises(ParseError, match="not an integer"):
+            series_from_json(obj, ((0,),))
+
+    def test_repeated_dimension_vector_raises_parse_error(self):
+        obj = {
+            "bound": 2,
+            "terms": [{"d": [1], "poly": {"0": 1}}, {"d": [1], "poly": {"0": 5}}],
+        }
+        with pytest.raises(ParseError, match="two terms"):
+            series_from_json(obj, ((0,),))
+
+    @pytest.mark.parametrize(
         "d", [[1, 1], [-1]], ids=["wrong-length", "negative"]
     )
     def test_invalid_dimension_vector_raises_validation_error(self, d):
