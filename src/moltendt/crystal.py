@@ -67,11 +67,10 @@ def framing_d6(q: PeriodicQuiver, node) -> Framing:
 def valid_seed_arrows(q: PeriodicQuiver, diagram, corner: int) -> frozenset:
     """Cut arrows at the corner crossed by boundary paths of both sides."""
 
-    n = len(diagram.corners)
-    cut = diagram.points[diagram.corners[corner]][0].arrows
-    prev_cut = diagram.points[diagram.corners[(corner - 1) % n]][0].arrows
-    next_cut = diagram.points[diagram.corners[(corner + 1) % n]][0].arrows
-    return cut - (prev_cut | next_cut)
+    # side k runs from corner k to corner k + 1
+    side = diagram.sides[corner]
+    before = diagram.sides[corner - 1]
+    return side.start_cut.arrows - (before.start_cut.arrows | side.end_cut.arrows)
 
 
 def framing_d4(q: PeriodicQuiver, diagram, corner: int, seed: str | None = None) -> Framing:
@@ -79,7 +78,7 @@ def framing_d4(q: PeriodicQuiver, diagram, corner: int, seed: str | None = None)
         raise ValidationError(
             f"corner index {corner} out of range 0..{len(diagram.corners) - 1}"
         )
-    cut = diagram.points[diagram.corners[corner]][0].arrows
+    cut = diagram.sides[corner].start_cut.arrows
     valid = valid_seed_arrows(q, diagram, corner)
     if seed is None:
         seed = min(valid)

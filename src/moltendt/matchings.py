@@ -1,11 +1,13 @@
 """Cuts, the toric diagram, and zig-zag strip decompositions.
 
-A cut picks exactly one arrow out of every potential term; since each arrow
-lies in one positive and one negative term, cut enumeration is an exact
-cover problem where every candidate covers two terms.  Evaluating the cut
-indicator on two fixed homology cycles places each cut at a lattice point;
-the convex hull of these points is the toric diagram, and each boundary
-side carries its own zig-zag combinatorics.
+A cut picks exactly one arrow out of every potential term.  Each arrow lies
+in one positive and one negative term, so a cut is a perfect matching of
+the bipartite graph whose two sides are the positive and the negative
+terms and whose edges are the arrows; an arrow repeated inside one of its
+terms is no edge.  Evaluating the cut indicator on two fixed homology
+cycles places each cut at a lattice point; the convex hull of these points
+is the toric diagram, and each boundary side carries its own zig-zag
+combinatorics.
 """
 
 from __future__ import annotations
@@ -90,70 +92,104 @@ def _shortest_chain(q: PeriodicQuiver, goal: Vec):
     raise ValidationError("arrow displacements do not reach the requested homology class")
 
 
-def _chi(arrows: frozenset, chain) -> int:
-    return sum(sign for aid, sign in chain if aid in arrows)
-
-
 def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
-    """All cuts with their diagram points, canonically sorted."""
+    """All cuts with their diagram points, canonically sorted by point and
+    then by sorted arrow ids.
 
-    cycles = [list(c) for _, c in q.potential]
-    nterms = len(cycles)
-    # an arrow repeated inside one of its terms can never belong to a cut
-    candidates = []
-    terms_of: dict[str, list[int]] = {}
-    for a in q.arrows:
-        hits = [
-            (t, cyc.count(a.id)) for t, cyc in enumerate(cycles) if a.id in cyc
-        ]
-        if all(c == 1 for _, c in hits):
-            candidates.append(a.id)
-            terms_of[a.id] = [t for t, _ in hits]
-    pool: list[set[str]] = [set() for _ in range(nterms)]
-    for aid in candidates:
-        for t in terms_of[aid]:
-            pool[t].add(aid)
+    A depth-first search matches the positive terms one by one, in a sweep
+    order that next takes the term sharing the most negative terms
+    (columns) with the terms already taken.  A state is the set of used
+    columns as a bit mask, with the running point carried alongside.  It
+    is dropped when a free column lies out of reach of every remaining
+    term, or when it is known to be dead (to have no completion).  Only
+    dead states are remembered, as bare masks.  Remembering the cut list
+    below each live state as well would visit every state once, but it
+    keeps all those lists until the search ends: on C^3/Z_5 x Z_5 (7,623
+    cuts) that at least doubles the peak memory of the enumeration.
 
-    solutions: list[frozenset] = []
-    chosen: list[str] = []
-    covered = [False] * nterms
+    NoCutError names the cause: unequal positive and negative term counts,
+    a term whose every arrow repeats inside one of its terms, or no
+    perfect matching at all.
+    """
 
-    def search():
-        open_terms = [t for t in range(nterms) if not covered[t]]
-        if not open_terms:
-            solutions.append(frozenset(chosen))
-            return
-        t = min(open_terms, key=lambda t: (len(pool[t] - removed), t))
-        for aid in sorted(pool[t] - removed):
-            hit = terms_of[aid]
-            if any(covered[u] for u in hit):
+    pos = [cyc for sign, cyc in q.potential if sign == 1]
+    neg = [cyc for sign, cyc in q.potential if sign == -1]
+    n = len(pos)
+    if n != len(neg):
+        raise NoCutError(
+            f"perfect_matchings: the potential has {n} positive and {len(neg)}"
+            " negative terms; a cut needs as many of each"
+        )
+    repeated = {aid for _, cyc in q.potential for aid in cyc if cyc.count(aid) > 1}
+    for sign, cyc in q.potential:
+        if repeated.issuperset(cyc):
+            raise NoCutError(
+                f"perfect_matchings: term {sign:+d} {list(cyc)} has no usable"
+                " arrow; each of its arrows repeats inside one of its terms"
+            )
+    column = {aid: 1 << j for j, cyc in enumerate(neg) for aid in cyc}
+    chi = {a.id: [0, 0] for a in q.arrows}
+    for k, goal in enumerate(((1, 0), (0, 1))):
+        for aid, sign in _shortest_chain(q, goal):
+            chi[aid][k] += sign
+    # A cut's sort key is the sum of its arrows' weights, the least id on the
+    # highest bit.  Equal-size arrow sets compare as their sorted id tuples
+    # do exactly when their keys compare in reverse: the first place two
+    # sorted tuples differ holds the least arrow in only one of the sets.
+    ids = sorted(chi)
+    weight = {aid: 1 << (len(ids) - 1 - r) for r, aid in enumerate(ids)}
+    options = [
+        [(column[a], weight[a], a, *chi[a]) for a in sorted(set(cyc) - repeated)]
+        for cyc in pos
+    ]
+    reach = [0] * n  # the columns each term can take
+    for t, opts in enumerate(options):
+        for bit, *_ in opts:
+            reach[t] |= bit
+    order, taken, left = [], 0, list(range(n))
+    while left:
+        t = max(left, key=lambda t: ((reach[t] & taken).bit_count(), -t))
+        order.append(t)
+        taken |= reach[t]
+        left.remove(t)
+    # out_of_reach[d]: the columns that no term from depth d on can take
+    out_of_reach = [(1 << n) - 1] * (n + 1)
+    for d in range(n - 1, -1, -1):
+        out_of_reach[d] = out_of_reach[d + 1] & ~reach[order[d]]
+    sweep = [options[t] for t in order]
+    found: list = []
+    chosen = [""] * n
+    dead: set[int] = set()  # the depth of a mask is its bit count
+
+    def grow(depth: int, mask: int, key: int, x: int, y: int) -> bool:
+        alive = False
+        out = out_of_reach[depth + 1]
+        for bit, w, aid, dx, dy in sweep[depth]:
+            m = mask | bit
+            if m == mask or out & ~m or m in dead:
                 continue
-            blocked = [
-                x
-                for x in candidates
-                if x not in removed and x != aid and set(terms_of[x]) & set(hit)
-            ]
-            chosen.append(aid)
-            for u in hit:
-                covered[u] = True
-            removed.add(aid)
-            removed.update(blocked)
-            search()
-            chosen.pop()
-            for u in hit:
-                covered[u] = False
-            removed.discard(aid)
-            removed.difference_update(blocked)
+            chosen[depth] = aid
+            if depth + 1 == n:
+                found.append((x + dx, y + dy, -(key | w), frozenset(chosen)))
+                alive = True
+            elif grow(depth + 1, m, key | w, x + dx, y + dy):
+                alive = True
+            else:
+                dead.add(m)
+        return alive
 
-    removed: set[str] = set()
-    search()
-    if not solutions:
-        raise NoCutError("the potential admits no cut")
-    c1 = _shortest_chain(q, (1, 0))
-    c2 = _shortest_chain(q, (0, 1))
-    cuts = [Cut(s, (_chi(s, c1), _chi(s, c2))) for s in set(solutions)]
-    cuts.sort(key=lambda c: (c.point, tuple(sorted(c.arrows))))
-    return cuts
+    alive = grow(0, 0, 0, 0, 0)
+    # grow holds itself through its closure; dropping the name frees it, and
+    # with it dead and the search's references, now rather than at the next
+    # cycle collection
+    del grow
+    if not alive:
+        raise NoCutError(
+            "perfect_matchings: no perfect matching exists; the usable arrows"
+            f" cannot pair the {n} positive terms one to one with the negative terms"
+        )
+    found.sort()
+    return [Cut(arrows, (x, y)) for x, y, _, arrows in found]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ pseudo-remainder sequence over the integers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -799,25 +800,37 @@ def series_to_json(obj):
     return {"bound": bound, "terms": terms}
 
 
+_DIGITS = re.compile(r"-?[0-9]+")
+
+
 def _json_int(value):
     if type(value) is not int:
         raise ParseError("%r is not an integer" % (value,))
     return value
 
 
+def _json_digits(text):
+    """The integer that ``series_to_json`` writes as ``text``: an optional
+    minus sign and ASCII digits.  ``int()`` alone would also take
+    underscores, spaces, a plus sign and non-ASCII digits."""
+    if not isinstance(text, str) or not _DIGITS.fullmatch(text):
+        raise ParseError("%r is not an integer string" % (text,))
+    return int(text)
+
+
 def _coeff_from_json(poly, den):
     if den is not None:
         return VRational.fraction(
-            {int(e): _json_int(c) for e, c in poly.items()},
-            {int(e): _json_int(c) for e, c in den.items()},
+            {_json_digits(e): _json_int(c) for e, c in poly.items()},
+            {_json_digits(e): _json_int(c) for e, c in den.items()},
         )
     fracs = {}
     for e, val in poly.items():
         if isinstance(val, str):
             p, q = val.split("/")
-            fracs[int(e)] = Fraction(int(p), int(q))
+            fracs[_json_digits(e)] = Fraction(_json_digits(p), _json_digits(q))
         else:
-            fracs[int(e)] = Fraction(_json_int(val))
+            fracs[_json_digits(e)] = Fraction(_json_int(val))
     den = lcm(*(f.denominator for f in fracs.values()))
     return VRational.fraction({e: int(f * den) for e, f in fracs.items()}, {0: den})
 
@@ -825,7 +838,8 @@ def _coeff_from_json(poly, den):
 def series_from_json(obj, twist):
     """Inverse of series_to_json.  A malformed document raises ParseError:
     a missing key, a bound, ``d`` entry or coefficient that is not an
-    integer, or two terms with one ``d``.  A term the series cannot hold
+    integer, an exponent key or fraction part other than ``-?[0-9]+``, or
+    two terms with one ``d``.  A term the series cannot hold
     (wrong length, negative entry) raises ValidationError."""
     try:
         bound = _json_int(obj["bound"])

@@ -1,9 +1,12 @@
 """Cut enumeration, toric diagrams, and zig-zag strip data.
 
-Cut sets are cross-checked against an exhaustive combination search.  The
-strip fixtures for the six-node orbifold and the suspended pinch point are
-frozen arrow-by-arrow; they pin the global zig/zag orientation convention,
-so a sign slip anywhere in the diagram code shows up here.
+Cut lists are cross-checked against two other searches: an exhaustive
+combination search for the cut sets, and an exact-cover search, which
+shares only the homology chains with the matching search, for the ordered
+cuts and their points.  The strip fixtures for the six-node orbifold and
+the suspended pinch point are frozen arrow-by-arrow; they pin the global
+zig/zag orientation convention, so a sign slip anywhere in the diagram
+code shows up here.
 """
 
 from __future__ import annotations
@@ -11,10 +14,17 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bench.workloads import orbifold_quiver
 from moltendt.errors import NoCutError, StripCountMismatch
-from moltendt.geometry import euler_form, load_geometry
-from moltendt.matchings import perfect_matchings, toric_diagram, zigzag_analysis
+from moltendt.geometry import _parse_quiver as quiver, builtin_names, euler_form, load_geometry
+from moltendt.matchings import (
+    _shortest_chain,
+    perfect_matchings,
+    toric_diagram,
+    zigzag_analysis,
+)
 
 
 def brute_cuts(q):
@@ -27,6 +37,74 @@ def brute_cuts(q):
         if all(sum(1 for x in cyc if x in s) == 1 for cyc in cycles):
             found.add(frozenset(s))
     return found
+
+
+def exact_cover_cuts(q):
+    """Ordered (arrows, point) of every cut, by an exact-cover search that
+    covers the open term with the fewest candidate arrows first."""
+
+    cycles = [list(c) for _, c in q.potential]
+    nterms = len(cycles)
+    # an arrow repeated inside one of its terms can never belong to a cut
+    candidates = []
+    terms_of = {}
+    for a in q.arrows:
+        hits = [(t, cyc.count(a.id)) for t, cyc in enumerate(cycles) if a.id in cyc]
+        if all(c == 1 for _, c in hits):
+            candidates.append(a.id)
+            terms_of[a.id] = [t for t, _ in hits]
+    pool = [set() for _ in range(nterms)]
+    for aid in candidates:
+        for t in terms_of[aid]:
+            pool[t].add(aid)
+    solutions, chosen, covered, removed = [], [], [False] * nterms, set()
+
+    def search():
+        open_terms = [t for t in range(nterms) if not covered[t]]
+        if not open_terms:
+            solutions.append(frozenset(chosen))
+            return
+        t = min(open_terms, key=lambda t: (len(pool[t] - removed), t))
+        for aid in sorted(pool[t] - removed):
+            hit = terms_of[aid]
+            if any(covered[u] for u in hit):
+                continue
+            blocked = [
+                x
+                for x in candidates
+                if x not in removed and x != aid and set(terms_of[x]) & set(hit)
+            ]
+            chosen.append(aid)
+            for u in hit:
+                covered[u] = True
+            removed.add(aid)
+            removed.update(blocked)
+            search()
+            chosen.pop()
+            for u in hit:
+                covered[u] = False
+            removed.discard(aid)
+            removed.difference_update(blocked)
+
+    search()
+    chains = [_shortest_chain(q, (1, 0)), _shortest_chain(q, (0, 1))]
+    out = [
+        (s, tuple(sum(sign for aid, sign in c if aid in s) for c in chains))
+        for s in solutions
+    ]
+    return sorted(out, key=lambda c: (c[1], tuple(sorted(c[0]))))
+
+
+def loops(disps, potential):
+    """A one-node quiver of loops with the given displacements."""
+
+    return quiver({
+        "nodes": [0],
+        "arrows": [
+            {"id": aid, "src": 0, "tgt": 0, "disp": d} for aid, d in disps.items()
+        ],
+        "potential": [{"sign": s, "cycle": c} for s, c in potential],
+    })
 
 
 def analyze(name):
@@ -65,6 +143,29 @@ class TestCuts:
         q = load_geometry(name)
         assert {c.arrows for c in perfect_matchings(q)} == brute_cuts(q)
 
+    @pytest.mark.parametrize("source", builtin_names() + (2, 3, 4))
+    def test_against_exact_cover_search(self, source):
+        # an int source n stands for the orbifold C^3 / Z_n x Z_n
+        q = quiver(orbifold_quiver(source)) if isinstance(source, int) else load_geometry(source)
+        expected = exact_cover_cuts(q)
+        assert [(c.arrows, c.point) for c in perfect_matchings(q)] == expected
+        assert len(expected) == {2: 9, 3: 42, 4: 417}.get(source, len(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(builtin_names()), st.data())
+    def test_arrow_and_term_order_do_not_matter(self, name, data):
+        q = load_geometry(name)
+        obj = q.to_json_dict()
+        obj["arrows"] = data.draw(st.permutations(obj["arrows"]))
+        obj["potential"] = data.draw(st.permutations(obj["potential"]))
+        for term in obj["potential"]:
+            k = data.draw(st.integers(0, len(term["cycle"]) - 1))
+            term["cycle"] = term["cycle"][k:] + term["cycle"][:k]
+        got = perfect_matchings(quiver(obj))
+        assert [(c.arrows, c.point) for c in got] == [
+            (c.arrows, c.point) for c in perfect_matchings(q)
+        ]
+
     def test_enumeration_is_deterministic(self):
         q = load_geometry("pdp3a")
         a = perfect_matchings(q)
@@ -89,6 +190,38 @@ class TestCuts:
         p.write_text(json.dumps(obj))
         with pytest.raises(NoCutError):
             perfect_matchings(load_geometry(p))
+
+    def test_no_cut_names_unequal_term_counts(self):
+        q = loops(
+            {"a": [1, 0], "b": [-1, 0], "c": [0, 1], "d": [0, -1]},
+            [(1, ["a", "b", "c", "d"]), (-1, ["a", "b"]), (-1, ["c", "d"])],
+        )
+        with pytest.raises(NoCutError, match="^perfect_matchings: .*1 positive and 2 negative"):
+            perfect_matchings(q)
+
+    def test_no_cut_names_the_term_without_usable_arrow(self):
+        # u and w each repeat inside a negative term, so the positive term
+        # [u, w] has nothing to give a cut
+        q = loops(
+            {"u": [1, 0], "w": [-1, 0], "y": [0, 1], "z": [0, -1]},
+            [(1, ["u", "w"]), (1, ["y", "z"]), (-1, ["u", "u", "w", "w"]), (-1, ["z", "y"])],
+        )
+        with pytest.raises(NoCutError, match=r"^perfect_matchings: term \+1 \['u', 'w'\] has no"):
+            perfect_matchings(q)
+
+    def test_no_cut_when_no_matching_exists(self):
+        # every term has a usable arrow, but the positive terms [a, r, r] and
+        # [b, s, s] can only take a and b, which both lie in the negative
+        # term [a, b]; the y, z block lets the chains reach (0, 1)
+        q = loops(
+            {"a": [-2, 0], "b": [2, 0], "c": [-1, 0], "d": [1, 0],
+             "r": [1, 0], "s": [-1, 0], "y": [0, 1], "z": [0, -1]},
+            [(1, ["a", "r", "r"]), (1, ["b", "s", "s"]), (1, ["c", "d"]), (1, ["y", "z"]),
+             (-1, ["a", "b"]), (-1, ["c", "r"]), (-1, ["d", "s"]), (-1, ["z", "y"])],
+        )
+        assert exact_cover_cuts(q) == []
+        with pytest.raises(NoCutError, match="^perfect_matchings: no perfect matching"):
+            perfect_matchings(q)
 
 
 class TestDiagram:

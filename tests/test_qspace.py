@@ -323,6 +323,34 @@ class TestJson:
         with pytest.raises(ParseError, match="not an integer"):
             series_from_json(obj, ((0,),))
 
+    @pytest.mark.parametrize(
+        "poly",
+        [{"1_0": 1}, {" 2": 1}, {"0": "1_1/2"}, {"+1": 1}, {"0": "1/ 2"}, {"٣": 1}],
+        ids=[
+            "underscore-exponent",
+            "space-exponent",
+            "underscore-fraction",
+            "plus-exponent",
+            "space-denominator",
+            "non-ascii-exponent",
+        ],
+    )
+    def test_integer_string_not_as_written_raises_parse_error(self, poly):
+        # int() reads "1_0" as 10, " 2" as 2 and "1_1/2" as 11/2
+        obj = {"bound": 2, "terms": [{"d": [1], "poly": poly}]}
+        with pytest.raises(ParseError, match="not an integer string"):
+            series_from_json(obj, ((0,),))
+
+    def test_nonlaurent_exponent_keys_are_checked_too(self):
+        obj = {"bound": 2, "terms": [{"d": [1], "poly": {"0": 1}, "den": {"1_0": 1}}]}
+        with pytest.raises(ParseError, match="not an integer string"):
+            series_from_json(obj, ((0,),))
+
+    def test_negative_exponents_and_fractions_still_parse(self):
+        obj = {"bound": 2, "terms": [{"d": [1], "poly": {"-2": "-3/4", "10": 5}}]}
+        c = series_from_json(obj, ((0,),)).terms[(1,)]
+        assert c == VRational.fraction({-2: -3, 10: 20}, {0: 4})
+
     def test_repeated_dimension_vector_raises_parse_error(self):
         obj = {
             "bound": 2,
