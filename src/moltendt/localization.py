@@ -242,6 +242,16 @@ def framed_partition_function(
     s.t * m + s'.t, with m larger than any |s'.w| that occurs, so a sign
     is one integer comparison; each colour keeps its atoms' keys sorted,
     and two bisections count the pairs of each sign along one arrow.
+
+    A child crystal is counted as soon as its atom is chosen, from the
+    pairs the atom adds before it joins; a loop arrow's pair of the atom
+    with itself comes from a per-colour constant.  At bound - 1 atoms that
+    count is all the walk does: the leaves are never built, so no atom is
+    inserted, no predecessor count changes and nothing recurses.  The
+    dimension vector travels as one int, sum of d_c (bound + 1)^c, and
+    becomes a tuple only in the final table.  Z is canonical by
+    construction, so it is built by ``QSeries._with`` without the
+    constructor's input checks.
     """
 
     erc = build_erc(q, grading, framing, bound)
@@ -263,54 +273,76 @@ def framed_partition_function(
 
     into = [[] for _ in range(n)]
     out = [[] for _ in range(n)]
+    # pairs of x are counted before x joins, so the pair (x, x) of a loop
+    # arrow at x's colour, of weight -disp, is added from here
+    self_pair = [0] * n
     for src, tgt, disp in steps:
+        kd = key(*disp)
         if tgt is not None:
-            into[color[tgt]].append((color[src], key(*disp)))
+            into[color[tgt]].append((color[src], kd))
         if src is not None:
-            out[color[src]].append((color[tgt], key(*disp)))
+            out[color[src]].append((color[tgt], kd))
+        if src is not None and src == tgt:
+            self_pair[color[src]] += (kd < 0) - (kd > 0)
     col = [color[a[0]] for a in atoms]
     keys = [key(*a[1]) for a in atoms]
     succs = [tuple(rank[b] for b in erc.successors(a)) for a in atoms]
     missing = [len(erc.predecessors(a)) for a in atoms]
 
     present = [[] for _ in range(n)] + [[0]]
-    dims = [0] * n
+    # a dimension vector is the int sum of dims[c] * radix**c, radix > bound
+    radix = bound + 1
+    unit = [radix**c for c in range(n)]
     counts: Counter = Counter()
 
-    def grow(candidates, size, total):
-        counts[tuple(dims), total] += 1
-        if size == bound:
-            return
+    def grow(candidates, size, dim, total):
+        # count each child crystal; descend only into those below the bound
+        last = size + 1 == bound
         for i, x in enumerate(candidates):
             c, kx = col[x], keys[x]
-            delta = 0
+            delta = self_pair[c]
             for src, kd in into[c]:
                 p = present[src]
                 v = kx - kd
                 delta += bisect_left(p, v) + bisect_right(p, v) - len(p)
-            here = present[c]
-            at = bisect_right(here, kx)
-            here.insert(at, kx)
             for tgt, kd in out[c]:
                 p = present[tgt]
                 v = kx + kd
                 delta += len(p) - bisect_left(p, v) - bisect_right(p, v)
-            dims[c] += 1
+            counts[dim + unit[c], total + delta] += 1
+            if last:
+                continue
+            here = present[c]
+            at = bisect_right(here, kx)
+            here.insert(at, kx)
             enabled = []
             for y in succs[x]:
                 missing[y] -= 1
                 if not missing[y]:
                     enabled.append(y)
             rest = candidates[i + 1 :]
-            grow(sorted(rest + enabled) if enabled else rest, size + 1, total + delta)
+            grow(
+                sorted(rest + enabled) if enabled else rest,
+                size + 1,
+                dim + unit[c],
+                total + delta,
+            )
             for y in succs[x]:
                 missing[y] += 1
-            dims[c] -= 1
             del here[at]
 
-    grow([rank[erc.root]], 0, 0)
+    counts[0, 0] = 1  # the empty crystal
+    if bound:
+        grow([rank[erc.root]], 0, 0, 0)
+    del grow  # grow holds itself through its closure: free the walk's state now
     polys: dict = {}
-    for (d, total), k in counts.items():
-        polys.setdefault(d, {})[total] = k
-    terms = {d: VRational.laurent(poly) for d, poly in polys.items()}
-    return QSeries(bound, euler_form(q)[1], terms)
+    for (dim, total), k in counts.items():
+        polys.setdefault(dim, {})[total] = k
+    terms = {}
+    for dim, poly in polys.items():
+        d = []
+        for _ in range(n):
+            dim, x = divmod(dim, radix)
+            d.append(x)
+        terms[tuple(d)] = VRational.laurent(poly)
+    return QSeries(bound, euler_form(q)[1])._with(terms)

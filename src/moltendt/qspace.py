@@ -29,6 +29,25 @@ and F_d = |d|^{-1} sum_{d'} |d'| s_{d'} F_{d-d'}.  Exp(f) takes
 s = sum_k psi_k(f)/k.  Log undoes both steps: log F = D^{-1}(F^{-1} D F) and
 Log F = sum_k mu(k)/k psi_k(log F).
 
+Inside qmul, qinv and log_pleth, Laurent coefficients are packed.  A
+coefficient sum_i c_i v^(e+i) becomes (P, e, norm): P = sum_i c_i 2^(K i) is
+one Python int, e is the lowest exponent and norm bounds sum_i |c_i|.  The
+shift by v^<d',d''> adds to e; a product is P1 P2 at e1 + e2 with norm
+n1 n2; a sum shifts the P of higher e left by K times the gap and adds the
+norms.  All of this is exact for every K.  Only reading the balanced base-2^K
+digits back needs |c_i| < 2^(K-1), which holds when norm < 2^(K-1).
+Width rule: qmul takes K from the product of its inputs' total norms, which
+bounds every coefficient of the result.  qinv and Log first try 64 bits
+above the largest input norm; a result whose norm bound reaches 2^(K-1) is
+never unpacked, and the computation runs again at the width that bound
+needs.  The bounds do not depend on K, so that second run fits.  Results
+become VRational again in ``QSeries._with``.
+
+The packed path runs when every input coefficient is Laurent with
+denominator 1 and, for qinv, the constant term is +-v^k (Log needs 1).  True
+fractions take the VRational loops: qinv(1 + v + ...), Exp with its 1/|d|
+scale and 1/k weights, and Log's division by |d| and mu(k)/k weights.
+
 No floating point is used anywhere; polynomial gcds run a primitive
 pseudo-remainder sequence over the integers.
 """
@@ -39,6 +58,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add, mul
 
 from .errors import (
     NonCentralSigma,
@@ -401,8 +421,15 @@ class VRational:
 # QSeries: truncated twisted series with VRational coefficients
 
 
+def _check_int(x, what):
+    # int() would truncate a float and accept a bool
+    if type(x) is not int:
+        raise ValidationError("%s must be an int, got %r" % (what, x))
+    return x
+
+
 def _check_twist(twist):
-    rows = tuple(tuple(int(x) for x in row) for row in twist)
+    rows = tuple(tuple(_check_int(x, "twist entry") for x in row) for row in twist)
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -415,11 +442,11 @@ def _check_twist(twist):
 
 
 def _twist_vec(twist, d):
-    return tuple(sum(row[j] * d[j] for j in range(len(d))) for row in twist)
+    return tuple(_dot(row, d) for row in twist)
 
 
 def _dot(d, w):
-    return sum(a * b for a, b in zip(d, w))
+    return sum(map(mul, d, w))
 
 
 def _sorted_terms(terms):
@@ -430,7 +457,7 @@ def _clean_terms(nvars, terms):
     """Checked outside input: a coefficient table with merged duplicates."""
     clean = {}
     for d, c in (terms or {}).items():
-        d = tuple(int(x) for x in d)
+        d = tuple(_check_int(x, "dimension vector entry") for x in d)
         if len(d) != nvars:
             raise ValidationError("dimension vector %r has wrong length" % (d,))
         if any(x < 0 for x in d):
@@ -460,7 +487,7 @@ class QSeries:
     __slots__ = ("bound", "twist", "terms")
 
     def __init__(self, bound, twist, terms=None):
-        self.bound = int(bound)
+        self.bound = _check_int(bound, "bound")
         if self.bound < 0:
             raise ValidationError("bound must be nonnegative")
         self.twist = _check_twist(twist)
@@ -544,8 +571,8 @@ class BpsTable:
     __slots__ = ("nvars", "terms", "bound")
 
     def __init__(self, nvars, terms=None, bound=None):
-        self.nvars = int(nvars)
-        self.bound = bound
+        self.nvars = _check_int(nvars, "nvars")
+        self.bound = bound if bound is None else _check_int(bound, "bound")
         clean = _clean_terms(self.nvars, terms)
         self.terms = _sorted_terms({d: c for d, c in clean.items() if c})
 
@@ -592,23 +619,35 @@ def _shape_check(a, b):
         )
 
 
+def _by_degree(terms, twist, bound):
+    """Rows of (d, T d, c) by total degree |d| = 0..bound, in term order."""
+    rows = [[] for _ in range(bound + 1)]
+    for d, c in terms.items():
+        rows[sum(d)].append((d, _twist_vec(twist, d), c))
+    return rows
+
+
 def qmul(a, b):
     """Twisted product: (ab)_d = sum over d'+d''=d of a_{d'} b_{d''} v^{<d',d''>}."""
     _shape_check(a, b)
+    na, nb = _laurent_nums(a.terms), _laurent_nums(b.terms)
+    if na is not None and nb is not None:
+        # every product coefficient is at most the product of the total norms
+        top = sum(map(_norm, na.values())) * sum(map(_norm, nb.values()))
+        return _run_packed(
+            a,
+            lambda K: _pmul(_pack_all(na, K), _pack_all(nb, K), a.twist, a.bound, K),
+            _width(top),
+        )
+    rows = _by_degree(b.terms, a.twist, a.bound)
     out = {}
-    bitems = [
-        (d2, sum(d2), _twist_vec(a.twist, d2), c2) for d2, c2 in b.terms.items()
-    ]
     for d1, c1 in a.terms.items():
-        s1 = sum(d1)
-        for d2, s2, td2, c2 in bitems:
-            if s1 + s2 > a.bound:
-                continue
-            tw = _dot(d1, td2)
-            d = tuple(x + y for x, y in zip(d1, d2))
-            c = (c1 * c2).shift(tw)
-            acc = out.get(d)
-            out[d] = c if acc is None else acc + c
+        for row in rows[: a.bound - sum(d1) + 1]:
+            for d2, t2, c2 in row:
+                d = tuple(map(add, d1, d2))
+                c = (c1 * c2).shift(_dot(d1, t2))
+                acc = out.get(d)
+                out[d] = c if acc is None else acc + c
     return a._with(out)
 
 
@@ -642,11 +681,147 @@ def _solve(a, first, scale):
 
 def qinv(a):
     """Two-sided inverse; needs an invertible constant term."""
-    c0 = a.coeff((0,) * a.nvars)
+    z = (0,) * a.nvars
+    c0 = a.coeff(z)
     if not c0:
         raise NonUnitConstantTerm("constant term is zero")
+    nums = _laurent_nums(a.terms)
+    if nums is not None and _is_unit_monomial(nums[z]):
+        return _run_packed(
+            a,
+            lambda K: _pinv(_pack_all(nums, K), a.twist, a.bound, K),
+            _first_width(nums),
+        )
     inv = VRational.one() / c0
     return _solve(a, inv, lambda n: -inv)
+
+
+# ---------------------------------------------------------------------------
+# packed Laurent coefficients, see the module docstring
+
+
+def _laurent_nums(terms):
+    """The numerators of ``terms`` if every coefficient is Laurent, else None."""
+    nums = {}
+    for d, c in terms.items():
+        if c._den != _DEN_ONE:
+            return None
+        nums[d] = c._num
+    return nums
+
+
+def _norm(num):
+    return sum(map(abs, num.values()))
+
+
+def _is_unit_monomial(num):
+    return len(num) == 1 and abs(next(iter(num.values()))) == 1
+
+
+def _width(norm):
+    """The least K whose balanced base-2^K digits hold every coefficient of
+    absolute value at most ``norm``: norm < 2^(K-1)."""
+    return norm.bit_length() + 1
+
+
+def _first_width(nums):
+    """A first K for a recursion's result: 64 bits above the largest input
+    norm.  The recursion's norm bounds are known only once it has run."""
+    return _width(max(map(_norm, nums.values()))) + 64
+
+
+def _pack_all(nums, K):
+    """{d: (P, e, norm)} for {d: Laurent numerator}."""
+    table = {}
+    for d, num in nums.items():
+        e = min(num)
+        P = 0
+        for x, c in num.items():
+            P += c << K * (x - e)
+        table[d] = P, e, _norm(num)
+    return table
+
+
+def _unpack(P, e, K):
+    """The Laurent numerator whose balanced base-2^K digits make P."""
+    num = {}
+    half, mask = 1 << K - 1, (1 << K) - 1
+    while P:
+        c = ((P + half) & mask) - half
+        if c:
+            num[e] = c
+        P = (P - c) >> K
+        e += 1
+    return num
+
+
+def _run_packed(a, compute, K):
+    """The series of a's bound and twist from the packed table compute(K).
+
+    A norm bound that reaches 2^(K-1) could carry a digit into its
+    neighbour, so that table is never unpacked: compute runs again at the
+    width the largest bound needs.  The bounds do not depend on K, so the
+    second run fits."""
+    table = compute(K)
+    top = max((n for _, _, n in table.values()), default=0)
+    if _width(top) > K:
+        K = _width(top)
+        table = compute(K)
+    return a._with(
+        {
+            d: VRational(_unpack(P, e, K), dict(_DEN_ONE), _raw=True)
+            for d, (P, e, _) in table.items()
+        }
+    )
+
+
+def _padd(acc, d, P, e, n, K):
+    """acc[d] += (P, e, n), aligning the two lowest exponents."""
+    prev = acc.get(d)
+    if prev is None:
+        acc[d] = P, e, n
+        return
+    P0, e0, n0 = prev
+    if e < e0:
+        P, e, P0, e0 = P0, e0, P, e
+    acc[d] = P0 + (P << K * (e - e0)), e0, n0 + n
+
+
+def _pmul(ta, tb, twist, bound, K):
+    """qmul on packed tables."""
+    rows = _by_degree(tb, twist, bound)
+    out = {}
+    for d1, (P1, e1, n1) in ta.items():
+        for row in rows[: bound - sum(d1) + 1]:
+            for d2, t2, (P2, e2, n2) in row:
+                d = tuple(map(add, d1, d2))
+                _padd(out, d, P1 * P2, e1 + e2 + _dot(d1, t2), n1 * n2, K)
+    return out
+
+
+def _pinv(ta, twist, bound, K):
+    """_solve for the inverse on packed tables whose constant term is
+    s v^k, s = +-1: first = s v^-k and scale = -s v^-k."""
+    z = (0,) * len(twist)
+    s, k, _ = ta[z]
+    steps = sorted(
+        (sum(d1), d1, _twist_vec(twist, d1), c1) for d1, c1 in ta.items() if any(d1)
+    )
+    out = {z: (s, -k, 1)}
+    by_degree = [[z]]
+    for n in range(1, bound + 1):
+        acc = {}
+        for s1, d1, t1, (P1, e1, n1) in steps:
+            if s1 > n:
+                break
+            for d2 in by_degree[n - s1]:
+                P2, e2, n2 = out[d2]
+                d = tuple(map(add, d1, d2))
+                _padd(acc, d, P1 * P2, e1 + e2 - _dot(d2, t1), n1 * n2, K)
+        for d, (P, e, m) in acc.items():
+            out[d] = -s * P, e - k, m
+        by_degree.append(list(acc))
+    return out
 
 
 def _check_commuting(series):
@@ -711,7 +886,20 @@ def log_pleth(F, adams="v"):
     if F.coeff((0,) * F.nvars) != VRational.one():
         raise NonzeroConstantTerm("Log needs constant term 1")
     _check_commuting(F)
-    dlog = qmul(qinv(F), _grade(F))
+    nums = _laurent_nums(F.terms)
+    if nums is None:
+        dlog = qmul(qinv(F), _grade(F))
+    else:
+
+        def packed_dlog(K):
+            # qinv(F) times D F, with D F packed as |d| P at norm |d| norm
+            t = _pack_all(nums, K)
+            graded = {
+                d: (P * sum(d), e, n * sum(d)) for d, (P, e, n) in t.items() if any(d)
+            }
+            return _pmul(_pinv(t, F.twist, F.bound, K), graded, F.twist, F.bound, K)
+
+        dlog = _run_packed(F, packed_dlog, _first_width(nums))
     logF = F._with({d: c / sum(d) for d, c in dlog.terms.items()})
     return _adams_sum(
         logF, lambda k: VRational.fraction({0: _mobius(k)}, {0: k}), adams

@@ -6,6 +6,7 @@ the explicit slope; the degree-1 coefficient is additionally pinned by
 the known one-side-nilpotent answer for the three-loop geometry.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -314,6 +315,36 @@ class TestWalkMatchesReference:
         got = framed_partition_function(q, grading, fr, slope, 5)
         want = reference_z(q, grading, fr, slope, crystals, 5)
         assert series_to_json(got) == series_to_json(want)
+
+
+class TestWalkOutput:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_z_is_canonical(self, name):
+        # the walk builds Z without the constructor's checks: rebuilding it
+        # through them must change nothing, not even the term order
+        q, grading, d = setting(name)
+        s = make_slope(d, corner=0)
+        for fr in framings(q, d):
+            z = framed_partition_function(q, grading, fr, s, 6)
+            again = QSeries(z.bound, z.twist, dict(z.terms))
+            assert z == again
+            assert list(z.terms) == list(again.terms)
+
+    def test_bound_zero_is_the_empty_crystal(self):
+        q, grading, d, s = nil_slope("c3", ("z1",))
+        z = framed_partition_function(q, grading, framing_d6(q, 0), s, 0)
+        assert z == QSeries.unit(0, z.twist)
+
+    def test_walk_leaves_no_cycle_behind(self):
+        q, grading, d = setting("c3")
+        fr, s = framing_d6(q, 0), make_slope(d, corner=0)
+        gc.collect()
+        gc.disable()
+        try:
+            framed_partition_function(q, grading, fr, s, 8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def atom(k):

@@ -137,6 +137,39 @@ class TestQSeries:
         assert qmul(x0, x0).support() == []
 
 
+class TestConstructorsRefuseNonInts:
+    # int() truncated 2.9 to 2, 1.7 to 1 and -0.5 to 0, and read True as 1
+    @pytest.mark.parametrize("bound", [2.9, True, "2"])
+    def test_series_bound(self, bound):
+        with pytest.raises(ValidationError, match="bound must be an int"):
+            QSeries(bound, TWISTED)
+
+    @pytest.mark.parametrize("d", [(1.7, 0), (True, 0), (1, 0.0)])
+    def test_series_dimension_entry(self, d):
+        with pytest.raises(ValidationError, match="dimension vector entry"):
+            QSeries(2, TWISTED, {d: 1})
+
+    @pytest.mark.parametrize(
+        "twist", [((0, -0.5), (0.5, 0)), ((0, -1.0), (1.0, 0)), ((False, 0), (0, 0))]
+    )
+    def test_series_twist_entry(self, twist):
+        with pytest.raises(ValidationError, match="twist entry"):
+            QSeries(2, twist)
+
+    @pytest.mark.parametrize("nvars", [2.0, True])
+    def test_table_nvars(self, nvars):
+        with pytest.raises(ValidationError, match="nvars must be an int"):
+            BpsTable(nvars, {})
+
+    def test_table_dimension_entry(self):
+        with pytest.raises(ValidationError, match="dimension vector entry"):
+            BpsTable(2, {(1.2, 0): 1})
+
+    def test_table_bound(self):
+        with pytest.raises(ValidationError, match="bound must be an int"):
+            BpsTable(2, {(1, 0): 1}, bound=2.5)
+
+
 class TestQinv:
     def test_geometric_series(self):
         n = 5
@@ -406,8 +439,10 @@ units = st.one_of(
     coeffs.filter(bool),
 )
 
-# The loops below are the series definitions of the inverse, Exp and Log;
-# qspace solves the same series degree by degree, so they are its oracles.
+# The loops below are the series definitions of the product, inverse, Exp
+# and Log.  qspace solves the same series degree by degree on packed
+# coefficients; these loops multiply VRational pairs one by one and share
+# no product code with it, so they are its oracles.
 
 MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0}
 
@@ -416,13 +451,29 @@ def _frac(p, q):
     return VRational.fraction({0: p}, {0: q})
 
 
+def qmul_reference(a, b):
+    """(ab)_d = sum over d' + d'' = d of a_{d'} b_{d''} v^{<d',d''>}, one
+    VRational pair at a time, with <d', d''> = d' . (T d'')."""
+    assert a.bound == b.bound and a.twist == b.twist
+    out = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            if sum(d1) + sum(d2) > a.bound:
+                continue
+            td2 = [sum(t * y for t, y in zip(row, d2)) for row in a.twist]
+            tw = sum(x * t for x, t in zip(d1, td2))
+            d = tuple(x + y for x, y in zip(d1, d2))
+            out[d] = out.get(d, VRational.zero()) + (c1 * c2).shift(tw)
+    return QSeries(a.bound, a.twist, out)
+
+
 def neumann_inverse(a):
     """c0^{-1} sum_n (-c0^{-1} r)^n for a = c0 + r."""
     inv_c0 = ONE / a.coeff((0,) * a.nvars)
     step = (a - a.constant_part()).scale(-inv_c0)
     out = term = QSeries.unit(a.bound, a.twist)
     for _ in range(a.bound):
-        term = qmul(term, step)
+        term = qmul_reference(term, step)
         out = out + term
     return out.scale(inv_c0)
 
@@ -446,7 +497,7 @@ def exp_by_definition(f, adams):
     s = adams_sum(f, lambda k: _frac(1, k), adams)
     out = term = QSeries.unit(f.bound, f.twist)
     for n in range(1, f.bound + 1):
-        term = qmul(term, s).scale(_frac(1, n))
+        term = qmul_reference(term, s).scale(_frac(1, n))
         out = out + term
     return out
 
@@ -457,7 +508,7 @@ def log_by_definition(F, adams):
     log = QSeries(F.bound, F.twist)
     term = QSeries.unit(F.bound, F.twist)
     for n in range(1, F.bound + 1):
-        term = qmul(term, r)
+        term = qmul_reference(term, r)
         log = log + term.scale(_frac((-1) ** (n + 1), n))
     return adams_sum(log, lambda k: _frac(MOBIUS[k], k), adams)
 
@@ -466,7 +517,7 @@ class TestFuzz:
     @settings(max_examples=60, deadline=None)
     @given(_series(TWISTED), _series(TWISTED), _series(TWISTED))
     def test_qmul_associative(self, a, b, c):
-        assert qmul(qmul(a, b), c) == qmul(a, qmul(b, c))
+        assert qmul(qmul(a, b), c) == qmul_reference(a, qmul_reference(b, c))
 
     @settings(max_examples=60, deadline=None)
     @given(_series(TWISTED), _series(TWISTED), _series(TWISTED))
@@ -478,8 +529,8 @@ class TestFuzz:
     @given(_series(TWISTED))
     def test_qinv_two_sided(self, a):
         u = QSeries.unit(3, TWISTED) + a - a.constant_part()
-        assert qmul(u, qinv(u)) == QSeries.unit(3, TWISTED)
-        assert qmul(qinv(u), u) == QSeries.unit(3, TWISTED)
+        assert qmul_reference(u, qinv(u)) == QSeries.unit(3, TWISTED)
+        assert qmul_reference(qinv(u), u) == QSeries.unit(3, TWISTED)
 
     @settings(max_examples=60, deadline=None)
     @given(_series(TWISTED), units)
@@ -513,3 +564,95 @@ class TestFuzz:
             lhs = apply_symmetry(apply_symmetry(t, "S+", node=i), "sigma")
             rhs = apply_symmetry(apply_symmetry(t, "sigma"), "S-", node=i)
             assert lhs == rhs
+
+
+# Packed coefficients: integers far beyond one machine word, exponents far
+# apart, and the constant terms +-v^k that send qinv and Log down the packed
+# path.  Three factors of 2^70 already exceed the first width qinv tries, so
+# most of these examples are unpacked only after the wider rerun.
+
+big_coeffs = st.dictionaries(
+    st.integers(-40, 40), st.integers(-(2**70), 2**70), min_size=1, max_size=3
+).map(VRational.laurent)
+unit_monomials = st.builds(
+    lambda sign, k: VRational.laurent({k: sign}),
+    st.sampled_from([1, -1]),
+    st.integers(-40, 40),
+)
+
+
+def _big_series(twist, bound=3):
+    return st.dictionaries(dims, big_coeffs, max_size=4).map(
+        lambda terms: QSeries(bound, twist, terms)
+    )
+
+
+big_rays = st.tuples(
+    st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+    st.dictionaries(st.integers(1, 4), big_coeffs, max_size=3),
+).map(
+    lambda ray: QSeries(
+        4, TWISTED, {tuple(k * x for x in ray[0]): c for k, c in ray[1].items()}
+    )
+)
+
+
+class TestPackedPath:
+    @settings(max_examples=40, deadline=None)
+    @given(_big_series(TWISTED), _big_series(TWISTED))
+    def test_qmul_matches_reference(self, a, b):
+        assert qmul(a, b) == qmul_reference(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_big_series(TWISTED), unit_monomials)
+    def test_qinv_matches_neumann_series(self, a, c0):
+        u = a - a.constant_part() + QSeries.unit(3, TWISTED).scale(c0)
+        assert qinv(u) == neumann_inverse(u)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(_big_series(FLAT, bound=4), big_rays), st.sampled_from(["v", "-v"])
+    )
+    def test_log_matches_definition(self, a, adams):
+        F = QSeries.unit(a.bound, a.twist) + a - a.constant_part()
+        assert log_pleth(F, adams=adams) == log_by_definition(F, adams)
+
+    def test_norm_past_first_width_is_recomputed_wider(self):
+        # a = 1 - 2^70 v^-3 x has the inverse sum_k 2^(70k) v^(-3k) x^k, whose
+        # coefficient 2^280 at k = 4 cannot be read at qinv's first width
+        one_var = ((0,),)
+        a = QSeries(4, one_var, {(0,): 1, (1,): lau({-3: -(2**70)})})
+        want = QSeries(
+            4, one_var, {(k,): lau({-3 * k: 2 ** (70 * k)}) for k in range(5)}
+        )
+        assert qinv(a) == want
+        assert qmul(a, want) == QSeries.unit(4, one_var)
+
+    def test_norm_bound_sums_over_pairs(self):
+        # 1/(1 - c x - c y) has 2 c^2 at xy, from two pairs of norm c^2 each.
+        # For one N the first width holds c^2 but not 2 c^2, so a bound that
+        # took the largest pair instead of the sum would read a wrong digit.
+        for n in range(1, 160):
+            c = 2**n
+            a = QSeries(2, FLAT, {(0, 0): 1, (1, 0): -c, (0, 1): -c})
+            assert qinv(a) == QSeries(
+                2,
+                FLAT,
+                {
+                    (0, 0): 1,
+                    (1, 0): c,
+                    (0, 1): c,
+                    (2, 0): c * c,
+                    (1, 1): 2 * c * c,
+                    (0, 2): c * c,
+                },
+            )
+
+    def test_cancelling_digits_unpack_to_zero(self):
+        # (1 + x)(1 - x) = 1 - x^2 over the flat twist: the x terms cancel
+        a = QSeries(2, FLAT, {(0, 0): 1, (1, 0): lau({5: 2**66, -5: -1})})
+        b = QSeries(2, FLAT, {(0, 0): 1, (1, 0): lau({5: -(2**66), -5: 1})})
+        assert qmul(a, b) == QSeries(
+            2, FLAT, {(0, 0): 1, (2, 0): lau({10: -(2**132), 0: 2**67, -10: -1})}
+        )
+
