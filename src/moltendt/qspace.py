@@ -29,24 +29,24 @@ and F_d = |d|^{-1} sum_{d'} |d'| s_{d'} F_{d-d'}.  Exp(f) takes
 s = sum_k psi_k(f)/k.  Log undoes both steps: log F = D^{-1}(F^{-1} D F) and
 Log F = sum_k mu(k)/k psi_k(log F).
 
-Inside qmul, qinv and log_pleth, Laurent coefficients are packed.  A
-coefficient sum_i c_i v^(e+i) becomes (P, e, norm): P = sum_i c_i 2^(K i) is
-one Python int, e is the lowest exponent and norm bounds sum_i |c_i|.  The
-shift by v^<d',d''> adds to e; a product is P1 P2 at e1 + e2 with norm
-n1 n2; a sum shifts the P of higher e left by K times the gap and adds the
-norms.  All of this is exact for every K.  Only reading the balanced base-2^K
-digits back needs |c_i| < 2^(K-1), which holds when norm < 2^(K-1).
-Width rule: qmul takes K from the product of its inputs' total norms, which
-bounds every coefficient of the result.  qinv and Log first try 64 bits
-above the largest input norm; a result whose norm bound reaches 2^(K-1) is
-never unpacked, and the computation runs again at the width that bound
-needs.  The bounds do not depend on K, so that second run fits.  Results
-become VRational again in ``QSeries._with``.
+Inside qmul and qinv, Laurent coefficients are packed.  A coefficient
+sum_i c_i v^(e+i) becomes (P, e): P = sum_i c_i 2^(K i) is one Python int
+and e is the lowest exponent.  The shift by v^<d',d''> adds to e; a product
+is P1 P2 at e1 + e2; a sum shifts the P of higher e left by K times the
+gap.  All of this is exact for every K.  Only reading the balanced base-2^K
+digits back needs |c_i| < 2^(K-1), so K is fixed before packing from a
+bound on the L1 norm of every result coefficient.  Width rule: qmul takes
+the product of its inputs' total norms.  qinv takes the largest g_n of the
+norm recursion g_0 = 1, g_n = sum_{j=1..n} m_j g_{n-j}, where m_j is the
+total norm of the input at |d| = j; g_n bounds the sum of the inverse's
+norms over all d with |d| = n.  Results become VRational again in
+``QSeries._with``.
 
 The packed path runs when every input coefficient is Laurent with
-denominator 1 and, for qinv, the constant term is +-v^k (Log needs 1).  True
-fractions take the VRational loops: qinv(1 + v + ...), Exp with its 1/|d|
-scale and 1/k weights, and Log's division by |d| and mu(k)/k weights.
+denominator 1 and, for qinv, the constant term is +-v^k; Log's qinv and
+qmul take it for a Laurent F.  True fractions take the VRational loops:
+qinv(1 + v + ...), Exp with its 1/|d| scale and 1/k weights, and Log's
+division by |d| and mu(k)/k weights.
 
 No floating point is used anywhere; polynomial gcds run a primitive
 pseudo-remainder sequence over the integers.
@@ -633,12 +633,9 @@ def qmul(a, b):
     na, nb = _laurent_nums(a.terms), _laurent_nums(b.terms)
     if na is not None and nb is not None:
         # every product coefficient is at most the product of the total norms
-        top = sum(map(_norm, na.values())) * sum(map(_norm, nb.values()))
-        return _run_packed(
-            a,
-            lambda K: _pmul(_pack_all(na, K), _pack_all(nb, K), a.twist, a.bound, K),
-            _width(top),
-        )
+        K = _width(sum(map(_norm, na.values())) * sum(map(_norm, nb.values())))
+        table = _pmul(_pack_all(na, K), _pack_all(nb, K), a.twist, a.bound, K)
+        return _with_unpacked(a, table, K)
     rows = _by_degree(b.terms, a.twist, a.bound)
     out = {}
     for d1, c1 in a.terms.items():
@@ -687,11 +684,8 @@ def qinv(a):
         raise NonUnitConstantTerm("constant term is zero")
     nums = _laurent_nums(a.terms)
     if nums is not None and _is_unit_monomial(nums[z]):
-        return _run_packed(
-            a,
-            lambda K: _pinv(_pack_all(nums, K), a.twist, a.bound, K),
-            _first_width(nums),
-        )
+        K = _inverse_width(nums, a.bound)
+        return _with_unpacked(a, _pinv(_pack_all(nums, K), a.twist, a.bound, K), K)
     inv = VRational.one() / c0
     return _solve(a, inv, lambda n: -inv)
 
@@ -724,21 +718,28 @@ def _width(norm):
     return norm.bit_length() + 1
 
 
-def _first_width(nums):
-    """A first K for a recursion's result: 64 bits above the largest input
-    norm.  The recursion's norm bounds are known only once it has run."""
-    return _width(max(map(_norm, nums.values()))) + 64
+def _inverse_width(nums, bound):
+    """K for the inverse of a series with a unit constant term: the norm
+    recursion of the module docstring, by total degree."""
+    m = [0] * (bound + 1)
+    for d, num in nums.items():
+        if any(d):
+            m[sum(d)] += _norm(num)
+    g = [1]
+    for n in range(1, bound + 1):
+        g.append(sum(m[j] * g[n - j] for j in range(1, n + 1)))
+    return _width(max(g))
 
 
 def _pack_all(nums, K):
-    """{d: (P, e, norm)} for {d: Laurent numerator}."""
+    """{d: (P, e)} for {d: Laurent numerator}."""
     table = {}
     for d, num in nums.items():
         e = min(num)
         P = 0
         for x, c in num.items():
             P += c << K * (x - e)
-        table[d] = P, e, _norm(num)
+        table[d] = P, e
     return table
 
 
@@ -755,47 +756,37 @@ def _unpack(P, e, K):
     return num
 
 
-def _run_packed(a, compute, K):
-    """The series of a's bound and twist from the packed table compute(K).
-
-    A norm bound that reaches 2^(K-1) could carry a digit into its
-    neighbour, so that table is never unpacked: compute runs again at the
-    width the largest bound needs.  The bounds do not depend on K, so the
-    second run fits."""
-    table = compute(K)
-    top = max((n for _, _, n in table.values()), default=0)
-    if _width(top) > K:
-        K = _width(top)
-        table = compute(K)
+def _with_unpacked(a, table, K):
+    """The series of a's bound and twist from a packed table at width K."""
     return a._with(
         {
             d: VRational(_unpack(P, e, K), dict(_DEN_ONE), _raw=True)
-            for d, (P, e, _) in table.items()
+            for d, (P, e) in table.items()
         }
     )
 
 
-def _padd(acc, d, P, e, n, K):
-    """acc[d] += (P, e, n), aligning the two lowest exponents."""
+def _padd(acc, d, P, e, K):
+    """acc[d] += (P, e), aligning the two lowest exponents."""
     prev = acc.get(d)
     if prev is None:
-        acc[d] = P, e, n
+        acc[d] = P, e
         return
-    P0, e0, n0 = prev
+    P0, e0 = prev
     if e < e0:
         P, e, P0, e0 = P0, e0, P, e
-    acc[d] = P0 + (P << K * (e - e0)), e0, n0 + n
+    acc[d] = P0 + (P << K * (e - e0)), e0
 
 
 def _pmul(ta, tb, twist, bound, K):
     """qmul on packed tables."""
     rows = _by_degree(tb, twist, bound)
     out = {}
-    for d1, (P1, e1, n1) in ta.items():
+    for d1, (P1, e1) in ta.items():
         for row in rows[: bound - sum(d1) + 1]:
-            for d2, t2, (P2, e2, n2) in row:
+            for d2, t2, (P2, e2) in row:
                 d = tuple(map(add, d1, d2))
-                _padd(out, d, P1 * P2, e1 + e2 + _dot(d1, t2), n1 * n2, K)
+                _padd(out, d, P1 * P2, e1 + e2 + _dot(d1, t2), K)
     return out
 
 
@@ -803,23 +794,23 @@ def _pinv(ta, twist, bound, K):
     """_solve for the inverse on packed tables whose constant term is
     s v^k, s = +-1: first = s v^-k and scale = -s v^-k."""
     z = (0,) * len(twist)
-    s, k, _ = ta[z]
+    s, k = ta[z]
     steps = sorted(
         (sum(d1), d1, _twist_vec(twist, d1), c1) for d1, c1 in ta.items() if any(d1)
     )
-    out = {z: (s, -k, 1)}
+    out = {z: (s, -k)}
     by_degree = [[z]]
     for n in range(1, bound + 1):
         acc = {}
-        for s1, d1, t1, (P1, e1, n1) in steps:
+        for s1, d1, t1, (P1, e1) in steps:
             if s1 > n:
                 break
             for d2 in by_degree[n - s1]:
-                P2, e2, n2 = out[d2]
+                P2, e2 = out[d2]
                 d = tuple(map(add, d1, d2))
-                _padd(acc, d, P1 * P2, e1 + e2 - _dot(d2, t1), n1 * n2, K)
-        for d, (P, e, m) in acc.items():
-            out[d] = -s * P, e - k, m
+                _padd(acc, d, P1 * P2, e1 + e2 - _dot(d2, t1), K)
+        for d, (P, e) in acc.items():
+            out[d] = -s * P, e - k
         by_degree.append(list(acc))
     return out
 
@@ -886,20 +877,7 @@ def log_pleth(F, adams="v"):
     if F.coeff((0,) * F.nvars) != VRational.one():
         raise NonzeroConstantTerm("Log needs constant term 1")
     _check_commuting(F)
-    nums = _laurent_nums(F.terms)
-    if nums is None:
-        dlog = qmul(qinv(F), _grade(F))
-    else:
-
-        def packed_dlog(K):
-            # qinv(F) times D F, with D F packed as |d| P at norm |d| norm
-            t = _pack_all(nums, K)
-            graded = {
-                d: (P * sum(d), e, n * sum(d)) for d, (P, e, n) in t.items() if any(d)
-            }
-            return _pmul(_pinv(t, F.twist, F.bound, K), graded, F.twist, F.bound, K)
-
-        dlog = _run_packed(F, packed_dlog, _first_width(nums))
+    dlog = qmul(qinv(F), _grade(F))
     logF = F._with({d: c / sum(d) for d, c in dlog.terms.items()})
     return _adams_sum(
         logF, lambda k: VRational.fraction({0: _mobius(k)}, {0: k}), adams

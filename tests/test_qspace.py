@@ -568,8 +568,7 @@ class TestFuzz:
 
 # Packed coefficients: integers far beyond one machine word, exponents far
 # apart, and the constant terms +-v^k that send qinv and Log down the packed
-# path.  Three factors of 2^70 already exceed the first width qinv tries, so
-# most of these examples are unpacked only after the wider rerun.
+# path.  Products of several 2^70 factors need widths of hundreds of bits.
 
 big_coeffs = st.dictionaries(
     st.integers(-40, 40), st.integers(-(2**70), 2**70), min_size=1, max_size=3
@@ -617,9 +616,9 @@ class TestPackedPath:
         F = QSeries.unit(a.bound, a.twist) + a - a.constant_part()
         assert log_pleth(F, adams=adams) == log_by_definition(F, adams)
 
-    def test_norm_past_first_width_is_recomputed_wider(self):
+    def test_inverse_width_grows_with_degree(self):
         # a = 1 - 2^70 v^-3 x has the inverse sum_k 2^(70k) v^(-3k) x^k, whose
-        # coefficient 2^280 at k = 4 cannot be read at qinv's first width
+        # coefficient 2^280 at k = 4 needs 4 times the input's width
         one_var = ((0,),)
         a = QSeries(4, one_var, {(0,): 1, (1,): lau({-3: -(2**70)})})
         want = QSeries(
@@ -630,8 +629,8 @@ class TestPackedPath:
 
     def test_norm_bound_sums_over_pairs(self):
         # 1/(1 - c x - c y) has 2 c^2 at xy, from two pairs of norm c^2 each.
-        # For one N the first width holds c^2 but not 2 c^2, so a bound that
-        # took the largest pair instead of the sum would read a wrong digit.
+        # A width that bounded the largest term at each degree instead of
+        # their sum would hold c^2 but not 2 c^2 and read a wrong digit.
         for n in range(1, 160):
             c = 2**n
             a = QSeries(2, FLAT, {(0, 0): 1, (1, 0): -c, (0, 1): -c})
