@@ -11,8 +11,12 @@ crystals, graded by dimension vector in the quantum affine space.
 ``Slope.sign``: one depth-first walk over the atom poset reaches every
 crystal once and updates the index by the weight pairs each new atom adds.
 The gauge weights cancel in pairs, a - b against b - a, so only the arrow
-weights reach the index.  ``enumerate_crystals`` and ``index`` remain as
-the reference path that the walk is tested against.
+weights reach the index.  Each candidate atom carries its index change
+down the walk, gaining one memoised pair term per atom added; its pairs
+with the framing node are a per-atom constant, only atoms that become
+addable are counted by bisection, and the last level is counted in its
+parent's loop.  ``enumerate_crystals`` and ``index`` remain as the
+reference path that the walk is tested against.
 
 Weights here live in the displacement plane: the reference-cut depth is
 invisible to the acting torus because it preserves the potential, so the
@@ -22,8 +26,10 @@ kappa component of every weight is zero throughout.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from math import isqrt
 
 from .crystal import Crystal, Framing, build_erc
 from .errors import (
@@ -112,6 +118,14 @@ def make_slope(
     sides and +1 on the rest.  With ``corner``: sign is +1 on the two
     sides meeting at that corner.  Candidates are scanned by |s|^2, then
     lexicographically; the tie-breaker is the quarter-turn of s.
+
+    The scan stops at the first disc |s| <= r that holds a feasible s, and
+    at r = 2 L^2 + 2 for side normals of coordinates at most L.  A feasible
+    pattern always has a solution of length at most 2 sqrt(2) L, which is
+    less: the sum of the primitive directions of the two rays that bound
+    the open cone of solutions, a side normal when that cone is a
+    half-plane, or one such direction when only the tie-breaker decides.
+    So the result is the one a scan of the whole square grid gives.
     """
 
     if (interval is None) == (corner is None):
@@ -132,22 +146,35 @@ def make_slope(
     radius = 2 * max(
         max(abs(l[0]), abs(l[1])) for l, _ in constraints
     ) ** 2 + 2
-    candidates = sorted(
-        (
-            (x, y)
-            for x in range(-radius, radius + 1)
-            for y in range(-radius, radius + 1)
-            if (x, y) != (0, 0)
-        ),
-        key=lambda s: (s[0] * s[0] + s[1] * s[1], s),
-    )
-    for s in candidates:
+    for s in _by_norm(radius):
         slope = Slope(s, (-s[1], s[0]))
         if all(slope.sign(l) == want for l, want in constraints):
             return slope
     raise InfeasiblePattern(
         f"no half-plane realizes the signs {[(l, w) for l, w in constraints]}"
     )
+
+
+def _by_norm(radius: int):
+    """Nonzero integer points with |s| <= ``radius``, by (|s|^2, s).
+
+    The points come one ring r - 1 < |s| <= r at a time, each sorted as it
+    is reached, so a search that stops early never builds the outer rings.
+    """
+
+    inner = 0
+    for r in range(1, radius + 1):
+        ring = []
+        for x in range(-r, r + 1):
+            low = isqrt(inner - x * x) + 1 if x * x <= inner else 0
+            for y in range(low, isqrt(r * r - x * x) + 1):
+                ring.append((x * x + y * y, (x, y)))
+                if y:
+                    ring.append((x * x + y * y, (x, -y)))
+        ring.sort()
+        inner = r * r
+        for _, s in ring:
+            yield s
 
 
 @dataclass(frozen=True)
@@ -218,6 +245,20 @@ def index(
     )
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with fill(k) on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
+
+
 def framed_partition_function(
     q: PeriodicQuiver,
     grading: ReferenceGrading,
@@ -227,122 +268,165 @@ def framed_partition_function(
 ) -> QSeries:
     """Sum of v^index x^d over molten crystals of at most ``bound`` atoms.
 
-    One depth-first walk visits every crystal once.  Atoms are ranked in
-    grade order, which is a linear extension of the poset; a child adds an
-    addable atom of rank above the last one added.  In rank order every
-    prefix of a crystal is a crystal, so each crystal has one path.
+    One depth-first walk visits every crystal once.  At a crystal S it
+    holds a list of candidates, atoms addable to S.  Branch i adds the i-th
+    candidate x and bars the candidates before it from the whole branch;
+    the child's candidates are the ones after x plus the atoms x makes
+    addable.  A crystal is reached along the one path that adds, at each
+    step, the first candidate in list order that it holds, so the numbering
+    of the atoms and the order of the lists do not matter.
 
-    The index is kept up to date as atoms join.  Its gauge part drops out:
-    ``Slope.sign`` is antisymmetric, so the same-colour pairs (a, b) and
-    (b, a) cancel, d0_plus equals d0_minus, and the index is
-    d1_plus - d1_minus.  Adding an atom x of colour c adds only
-    the pairs that involve x: arrows into c against the atoms already
-    present, arrows out of c against those atoms and x itself, and the
-    framing and D4 companion arrows.  The slope becomes the integer key
-    s.t * m + s'.t, with m larger than any |s'.w| that occurs, so a sign
-    is one integer comparison; each colour keeps its atoms' keys sorted,
-    and two bisections count the pairs of each sign along one arrow.
+    The gauge part of the index drops out: ``Slope.sign`` is antisymmetric,
+    so the same-colour pairs (a, b) and (b, a) cancel and the index is
+    d1_plus - d1_minus.  Adding y to S adds the arrow weights that involve
+    y, so the index grows by delta(y | S) = fixed(y) + sum over a in S of
+    pair(a, y).  fixed(y) holds y's pairs with itself along loop arrows and
+    with the framing node's one state along the framing and D4 companion
+    arrows; pair(a, y) signs the weights of the arrows between a's colour
+    and y's, both ways.  The slope becomes the integer key s.t * m + s'.t,
+    with m larger than any |s'.w| that occurs, so a sign is one integer
+    comparison.
 
-    A child crystal is counted as soon as its atom is chosen, from the
-    pairs the atom adds before it joins; a loop arrow's pair of the atom
-    with itself comes from a per-colour constant.  At bound - 1 atoms that
-    count is all the walk does: the leaves are never built, so no atom is
-    inserted, no predecessor count changes and nothing recurses.  The
-    dimension vector travels as one int, sum of d_c (bound + 1)^c, and
-    becomes a tuple only in the final table.  Z is canonical by
-    construction, so it is built by ``QSeries._with`` without the
-    constructor's input checks.
+    Deltas are carried down the walk: a candidate y that passes from S to
+    S + x gains pair(x, y), one lookup.  pair(x, y) depends on the two atoms
+    only, so it is computed once per call, when first needed.  Only an atom
+    that x makes addable is counted from scratch: each colour keeps its
+    atoms' keys sorted, and two bisections count the pairs of each sign
+    along one arrow.
+
+    A crystal is counted as soon as its atom is chosen, under the one int
+    dim * span + index, dim the sum of d_c (bound + 1)^c; a candidate
+    carries its step to that key, so a child's key is its parent's plus the
+    step.  The last level is fused: the children of a crystal of bound - 1
+    atoms are counted in the loop that chose its last atom, so leaves are
+    never built.  The counts are grouped by dimension once at the end.  Z
+    is canonical by construction, so it is built by ``QSeries._with``
+    without the constructor's input checks.
     """
 
     erc = build_erc(q, grading, framing, bound)
-    atoms = erc.atoms()
-    rank = {a: r for r, a in enumerate(atoms)}
-    steps = _framed_steps(q, framing)
+    atoms = erc.atoms_as_built()
+    number = {a: r for r, a in enumerate(atoms)}
+    arrows = _framed_steps(q, framing)
 
-    # colour n is the framing node None, present once with weight zero
     n = len(q.nodes)
-    color = dict(q.node_index)
-    color[None] = n
+    color = q.node_index
     (sx, sy), (tx, ty) = slope.s, slope.sp
     # m exceeds |s'.w| for every weight w = b - a - disp compared below
     m = 2 * max(abs(tx * x + ty * y) for _, (x, y), _ in atoms)
-    m += max(abs(tx * x + ty * y) for _, _, (x, y) in steps) + 1
+    m += max(abs(tx * x + ty * y) for _, _, (x, y) in arrows) + 1
+    col = [color[a[0]] for a in atoms]
+    keys = [(sx * x + sy * y) * m + tx * x + ty * y for _, (x, y), _ in atoms]
 
-    def key(x, y):
-        return (sx * x + sy * y) * m + tx * x + ty * y
-
+    # no index exceeds in size the number of weight pairs, len(arrows) b^2
+    radix = bound + 1
+    off = len(arrows) * bound * bound
+    span = 2 * off + 1
+    # fixed[c]: the step of a colour-c atom from its dimension and from its
+    # pairs with itself along loop arrows, of weight -disp
+    fixed = [radix**c * span for c in range(n)]
+    between = [[[] for _ in range(n)] for _ in range(n)]
+    present = [[] for _ in range(n)]
     into = [[] for _ in range(n)]
     out = [[] for _ in range(n)]
-    # pairs of x are counted before x joins, so the pair (x, x) of a loop
-    # arrow at x's colour, of weight -disp, is added from here
-    self_pair = [0] * n
-    for src, tgt, disp in steps:
-        kd = key(*disp)
-        if tgt is not None:
-            into[color[tgt]].append((color[src], kd))
-        if src is not None:
-            out[color[src]].append((color[tgt], kd))
-        if src is not None and src == tgt:
-            self_pair[color[src]] += (kd < 0) - (kd > 0)
-    col = [color[a[0]] for a in atoms]
-    keys = [key(*a[1]) for a in atoms]
-    succs = [tuple(rank[b] for b in erc.successors(a)) for a in atoms]
-    missing = [len(erc.predecessors(a)) for a in atoms]
+    framed = []
+    for src, tgt, (dx, dy) in arrows:
+        kd = (sx * dx + sy * dy) * m + tx * dx + ty * dy
+        if src is None:
+            framed.append((color[tgt], 1, kd))
+        elif tgt is None:
+            framed.append((color[src], -1, kd))
+        else:
+            cs, ct = color[src], color[tgt]
+            between[cs][ct].append(kd)
+            into[ct].append((present[cs], kd))
+            out[cs].append((present[ct], kd))
+            if cs == ct:
+                fixed[cs] += (kd < 0) - (kd > 0)
+    base = [fixed[c] for c in col]
+    # the framing node's one state has key 0, so an atom's pairs with it
+    # along the framing and companion arrows never change
+    for c, sign, kd in framed:
+        for r, kr in enumerate(keys):
+            if col[r] == c:
+                w = sign * kr - kd
+                base[r] += (w > 0) - (w < 0)
 
-    present = [[] for _ in range(n)] + [[0]]
-    # a dimension vector is the int sum of dims[c] * radix**c, radix > bound
-    radix = bound + 1
-    unit = [radix**c for c in range(n)]
-    counts: Counter = Counter()
+    def pair(x, y):
+        # what x, once present, adds to the index change of y
+        w = keys[y] - keys[x]
+        p = 0
+        for kd in between[col[x]][col[y]]:
+            p += (w > kd) - (w < kd)
+        for kd in between[col[y]][col[x]]:
+            p += (kd < -w) - (kd > -w)
+        return p
 
-    def grow(candidates, size, dim, total):
-        # count each child crystal; descend only into those below the bound
-        last = size + 1 == bound
-        for i, x in enumerate(candidates):
-            c, kx = col[x], keys[x]
-            delta = self_pair[c]
-            for src, kd in into[c]:
-                p = present[src]
-                v = kx - kd
-                delta += bisect_left(p, v) + bisect_right(p, v) - len(p)
-            for tgt, kd in out[c]:
-                p = present[tgt]
-                v = kx + kd
-                delta += len(p) - bisect_left(p, v) - bisect_right(p, v)
-            counts[dim + unit[c], total + delta] += 1
-            if last:
-                continue
-            here = present[c]
-            at = bisect_right(here, kx)
-            here.insert(at, kx)
-            enabled = []
+    def fresh(y):
+        # the step of a newly addable atom, counted against the present
+        c, ky = col[y], keys[y]
+        step = base[y]
+        for p, kd in into[c]:
+            v = ky - kd
+            step += bisect_left(p, v) + bisect_right(p, v) - len(p)
+        for p, kd in out[c]:
+            v = ky + kd
+            step -= bisect_left(p, v) + bisect_right(p, v) - len(p)
+        return step
+
+    succs = [tuple(map(number.__getitem__, ss)) for ss in map(erc.successors, atoms)]
+    missing = list(map(len, map(erc.predecessors, atoms)))
+    # pairs[x][y] is pair(x, y)
+    pairs = _Memo(lambda x: _Memo(partial(pair, x)))
+    counts = defaultdict(int)
+
+    def grow(cands, steps, key, size):
+        fused = size + 2 == bound
+        for i, x in enumerate(cands):
+            k = key + steps[i]
+            counts[k] += 1
+            row = pairs[x]
+            rest = cands[i + 1 :]
+            new = []
             for y in succs[x]:
                 missing[y] -= 1
                 if not missing[y]:
-                    enabled.append(y)
-            rest = candidates[i + 1 :]
-            grow(
-                sorted(rest + enabled) if enabled else rest,
-                size + 1,
-                dim + unit[c],
-                total + delta,
-            )
+                    new.append(y)
+            if fused:
+                # the children of S + x have bound atoms: count them here
+                for y, step in zip(rest, steps[i + 1 :]):
+                    counts[k + step + row[y]] += 1
+            if new or not fused:
+                # x joins its colour's keys while the new atoms are counted
+                here = present[col[x]]
+                at = bisect_right(here, keys[x])
+                here.insert(at, keys[x])
+                if fused:
+                    for y in new:
+                        counts[k + fresh(y)] += 1
+                else:
+                    after = [step + row[y] for y, step in zip(rest, steps[i + 1 :])]
+                    after += map(fresh, new)
+                    grow(rest + new, after, k, size + 1)
+                del here[at]
             for y in succs[x]:
                 missing[y] += 1
-            del here[at]
 
-    counts[0, 0] = 1  # the empty crystal
+    counts[0] = 1  # the empty crystal
     if bound:
-        grow([rank[erc.root]], 0, 0, 0)
+        root = number[erc.root]
+        grow([root], [base[root]], 0, 0)
     del grow  # grow holds itself through its closure: free the walk's state now
     polys: dict = {}
-    for (dim, total), k in counts.items():
-        polys.setdefault(dim, {})[total] = k
+    for k, count in counts.items():
+        dim, e = divmod(k + off, span)
+        polys.setdefault(dim, {})[e - off] = count
     terms = {}
     for dim, poly in polys.items():
         d = []
         for _ in range(n):
             dim, x = divmod(dim, radix)
             d.append(x)
-        terms[tuple(d)] = VRational.laurent(poly)
+        # every count is positive, so poly is already a reduced numerator
+        terms[tuple(d)] = VRational(poly, {0: 1}, _raw=True)
     return QSeries(bound, euler_form(q)[1])._with(terms)

@@ -573,6 +573,8 @@ class BpsTable:
     def __init__(self, nvars, terms=None, bound=None):
         self.nvars = _check_int(nvars, "nvars")
         self.bound = bound if bound is None else _check_int(bound, "bound")
+        if bound is not None and bound < 0:
+            raise ValidationError("bound must be nonnegative")
         clean = _clean_terms(self.nvars, terms)
         self.terms = _sorted_terms({d: c for d, c in clean.items() if c})
 
@@ -890,6 +892,7 @@ def apply_symmetry(obj, which, node=None):
     if which in ("S+", "S-"):
         if node is None:
             raise ValidationError("S symmetries need a node index")
+        _check_int(node, "node index")
         sign = 1 if which == "S+" else -1
         if isinstance(obj, QSeries):
             if not 0 <= node < obj.nvars:

@@ -71,6 +71,37 @@ class TestSlope:
         assert (n.s, n.sp) == ((1, 0), (0, 1))
 
 
+def make_slope_by_grid(diagram, interval=None, corner=None):
+    """The former ``make_slope``: sort the whole candidate square, then scan."""
+
+    if interval is not None:
+        negative = set(interval)
+        constraints = [
+            (side.l, -1 if side.name in negative else 1) for side in diagram.sides
+        ]
+    else:
+        n = len(diagram.corners)
+        constraints = [
+            (diagram.sides[(corner - 1) % n].l, 1),
+            (diagram.sides[corner].l, 1),
+        ]
+    radius = 2 * max(max(abs(l[0]), abs(l[1])) for l, _ in constraints) ** 2 + 2
+    candidates = sorted(
+        (
+            (x, y)
+            for x in range(-radius, radius + 1)
+            for y in range(-radius, radius + 1)
+            if (x, y) != (0, 0)
+        ),
+        key=lambda s: (s[0] * s[0] + s[1] * s[1], s),
+    )
+    for s in candidates:
+        slope = Slope(s, (-s[1], s[0]))
+        if all(slope.sign(l) == want for l, want in constraints):
+            return slope
+    return None
+
+
 class TestMakeSlope:
     def test_c3_one_side(self):
         q, grading, d, s = nil_slope("c3", ("z1",))
@@ -124,6 +155,26 @@ class TestMakeSlope:
                 for side in d.sides:
                     expect = -1 if side.name in wanted else 1
                     assert s.sign(side.l) == expect
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_disc_scan_matches_grid_scan(self, name):
+        # every contiguous run, the whole ring included, and every corner
+        q, grading, d = setting(name)
+        names = [side.name for side in d.sides]
+        n = len(names)
+        asks = [{"corner": k} for k in range(len(d.corners))]
+        asks += [
+            {"interval": tuple(names[(start + k) % n] for k in range(length))}
+            for start in range(n)
+            for length in range(1, n + 1)
+        ]
+        for ask in asks:
+            want = make_slope_by_grid(d, **ask)
+            if want is None:
+                with pytest.raises(InfeasiblePattern):
+                    make_slope(d, **ask)
+            else:
+                assert make_slope(d, **ask) == want, ask
 
     def test_conifold_opposite_normals(self):
         # the square's parallel sides force any realizable run to take one
@@ -277,23 +328,43 @@ class TestWalkMatchesReference:
     @pytest.mark.parametrize("name", builtin_names())
     def test_every_framing_slope_and_orientation(self, name):
         # the weight orientation is the sign of the slope: each slope runs
-        # together with its negation
+        # together with its negation.  Bound 1 counts the root alone; from
+        # bound 2 on, the root's own loop counts the last level
         q, grading, d = setting(name)
         for fr in framings(q, d):
             if fr.kind == "d6":
-                s, bound = make_slope(d, corner=0), 6
+                s, top = make_slope(d, corner=0), 6
             else:
-                s, bound = make_slope(d, corner=fr.corner), 8
-            crystals = reference_crystals(q, grading, fr, bound)
-            for slope in (s, s.negated()):
-                got = framed_partition_function(q, grading, fr, slope, bound)
-                want = reference_z(q, grading, fr, slope, crystals, bound)
-                assert series_to_json(got) == series_to_json(want)
+                s, top = make_slope(d, corner=fr.corner), 8
+            for bound in (0, 1, 2, 3, top):
+                crystals = reference_crystals(q, grading, fr, bound)
+                for slope in (s, s.negated()):
+                    got = framed_partition_function(q, grading, fr, slope, bound)
+                    want = reference_z(q, grading, fr, slope, crystals, bound)
+                    assert series_to_json(got) == series_to_json(want)
+
+    def test_c3_deep_counts_plane_partitions(self):
+        # at v = 1, Z of C3 framed at its node counts plane partitions:
+        # n M(n) = sum over k of sigma_2(k) M(n - k), MacMahon's recursion
+        bound = 11
+        macmahon = [1]
+        for size in range(1, bound + 1):
+            total = sum(
+                sum(j * j for j in range(1, k + 1) if k % j == 0) * macmahon[size - k]
+                for k in range(1, size + 1)
+            )
+            macmahon.append(total // size)
+        q, grading, d = setting("c3")
+        s = make_slope(d, corner=0)
+        for slope in (s, s.negated()):
+            z = framed_partition_function(q, grading, framing_d6(q, 0), slope, bound)
+            got = [sum(z.coeff((k,)).laurent_dict().values()) for k in range(bound + 1)]
+            assert got == macmahon
 
     @pytest.fixture(scope="class")
     def small(self):
         out = {}
-        for name in ("conifold", "spp"):
+        for name in ("conifold", "spp", "local-p2", "pdp3a"):
             q, grading, d = setting(name)
             out[name] = [
                 (q, grading, fr, reference_crystals(q, grading, fr, 5))
@@ -303,7 +374,7 @@ class TestWalkMatchesReference:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        name=st.sampled_from(["conifold", "spp"]),
+        name=st.sampled_from(["conifold", "spp", "local-p2", "pdp3a"]),
         pick=st.integers(0, 10),
         s=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
         sp=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),

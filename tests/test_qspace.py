@@ -169,6 +169,17 @@ class TestConstructorsRefuseNonInts:
         with pytest.raises(ValidationError, match="bound must be an int"):
             BpsTable(2, {(1, 0): 1}, bound=2.5)
 
+    def test_table_negative_bound(self):
+        with pytest.raises(ValidationError, match="bound must be nonnegative"):
+            BpsTable(2, {(1, 0): 1}, bound=-3)
+
+    @pytest.mark.parametrize("node", [1.0, True, "1"])
+    @pytest.mark.parametrize("table", [False, True])
+    def test_symmetry_node(self, node, table):
+        a = BpsTable(2, {(1, 0): 1}) if table else mono(2, TWISTED, (1, 0))
+        with pytest.raises(ValidationError, match="node index must be an int"):
+            apply_symmetry(a, "S+", node=node)
+
 
 class TestQinv:
     def test_geometric_series(self):

@@ -4,7 +4,8 @@ Integrity checks must raise typed ``MoltenDTError``s: ``python -O``
 strips ``assert`` statements, so an assert in the package is a check
 that silently stops running.  Every error class the package declares
 must also be raised somewhere in it: a class that nothing raises promises
-a check that does not exist.
+a check that does not exist.  The change log stays a readable size with
+each entry written once.
 """
 
 import ast
@@ -14,6 +15,7 @@ import moltendt
 from moltendt import errors
 
 SOURCES = sorted(Path(moltendt.__file__).parent.glob("*.py"))
+CHANGES = Path(__file__).resolve().parent.parent / "CHANGES.md"
 
 
 def test_package_has_no_assert_statements():
@@ -52,3 +54,11 @@ def test_every_error_class_is_raised():
         for name in _raised_names(ast.parse(path.read_text(), filename=str(path)))
     }
     assert not declared - raised, f"never raised: {sorted(declared - raised)}"
+
+
+def test_change_log_is_small_and_never_repeats_an_entry():
+    text = CHANGES.read_text(encoding="utf-8")
+    assert len(text.encode("utf-8")) < 1 << 20, "CHANGES.md is over 1 MB"
+    entries = [line for line in text.splitlines() if line.strip()]
+    repeated = sorted({line[:60] for line in entries if entries.count(line) > 1})
+    assert not repeated, f"entries written more than once: {repeated}"
