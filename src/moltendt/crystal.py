@@ -149,10 +149,6 @@ class EmptyRoomConfig:
     def atoms(self):
         return sorted(self._grades, key=lambda a: (self._grades[a], self.sort_key(a)))
 
-    def atoms_as_built(self):
-        """The atoms in the order ``build_erc`` reached them, unsorted."""
-        return list(self._grades)
-
     def grade(self, atom) -> int:
         return self._grades[atom]
 

@@ -123,8 +123,9 @@ def make_slope(
     at r = 2 L^2 + 2 for side normals of coordinates at most L.  A feasible
     pattern always has a solution of length at most 2 sqrt(2) L, which is
     less: the sum of the primitive directions of the two rays that bound
-    the open cone of solutions, a side normal when that cone is a
-    half-plane, or one such direction when only the tie-breaker decides.
+    the open cone of solutions, a side normal or its negation when that
+    cone is a half-plane, or one such direction when only the tie-breaker
+    decides.
     So the result is the one a scan of the whole square grid gives.
     """
 
@@ -305,18 +306,17 @@ def framed_partition_function(
     """
 
     erc = build_erc(q, grading, framing, bound)
-    atoms = erc.atoms_as_built()
-    number = {a: r for r, a in enumerate(atoms)}
     arrows = _framed_steps(q, framing)
 
     n = len(q.nodes)
     color = q.node_index
     (sx, sy), (tx, ty) = slope.s, slope.sp
-    # m exceeds |s'.w| for every weight w = b - a - disp compared below
-    m = 2 * max(abs(tx * x + ty * y) for _, (x, y), _ in atoms)
-    m += max(abs(tx * x + ty * y) for _, _, (x, y) in arrows) + 1
-    col = [color[a[0]] for a in atoms]
-    keys = [(sx * x + sy * y) * m + tx * x + ty * y for _, (x, y), _ in atoms]
+    # an atom the walk compares sits in a crystal of at most bound atoms,
+    # which holds a chain of arrows from the root to it, so |s'.t| is at
+    # most (bound - 1) reach and m exceeds |s'.w| for every weight
+    # w = b - a - disp compared below
+    reach = max(abs(tx * x + ty * y) for _, _, (x, y) in arrows)
+    m = (2 * bound + 1) * reach + 1
 
     # no index exceeds in size the number of weight pairs, len(arrows) b^2
     radix = bound + 1
@@ -343,14 +343,30 @@ def framed_partition_function(
             out[cs].append((present[ct], kd))
             if cs == ct:
                 fixed[cs] += (kd < 0) - (kd > 0)
-    base = [fixed[c] for c in col]
-    # the framing node's one state has key 0, so an atom's pairs with it
-    # along the framing and companion arrows never change
-    for c, sign, kd in framed:
-        for r, kr in enumerate(keys):
-            if col[r] == c:
-                w = sign * kr - kd
-                base[r] += (w > 0) - (w < 0)
+
+    # what the walk reads of an atom, by the number it gets when first met
+    atoms, col, keys, base, missing, succs = [], [], [], [], [], []
+
+    def meet(a):
+        node, (x, y), _ = a
+        c = color[node]
+        k = (sx * x + sy * y) * m + tx * x + ty * y
+        step = fixed[c]
+        # the framing node's one state has key 0, so an atom's pairs with
+        # it along the framing and companion arrows never change
+        for fc, sign, kd in framed:
+            if fc == c:
+                w = sign * k - kd
+                step += (w > 0) - (w < 0)
+        atoms.append(a)
+        col.append(c)
+        keys.append(k)
+        base.append(step)
+        missing.append(len(erc.predecessors(a)))
+        succs.append(None)
+        return len(atoms) - 1
+
+    number = _Memo(meet)
 
     def pair(x, y):
         # what x, once present, adds to the index change of y
@@ -374,8 +390,6 @@ def framed_partition_function(
             step -= bisect_left(p, v) + bisect_right(p, v) - len(p)
         return step
 
-    succs = [tuple(map(number.__getitem__, ss)) for ss in map(erc.successors, atoms)]
-    missing = list(map(len, map(erc.predecessors, atoms)))
     # pairs[x][y] is pair(x, y)
     pairs = _Memo(lambda x: _Memo(partial(pair, x)))
     counts = defaultdict(int)
@@ -387,8 +401,11 @@ def framed_partition_function(
             counts[k] += 1
             row = pairs[x]
             rest = cands[i + 1 :]
+            ss = succs[x]
+            if ss is None:
+                ss = succs[x] = tuple(map(number.__getitem__, erc.successors(atoms[x])))
             new = []
-            for y in succs[x]:
+            for y in ss:
                 missing[y] -= 1
                 if not missing[y]:
                     new.append(y)
@@ -409,7 +426,7 @@ def framed_partition_function(
                     after += map(fresh, new)
                     grow(rest + new, after, k, size + 1)
                 del here[at]
-            for y in succs[x]:
+            for y in ss:
                 missing[y] += 1
 
     counts[0] = 1  # the empty crystal
