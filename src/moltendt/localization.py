@@ -300,7 +300,9 @@ def framed_partition_function(
     carries its step to that key, so a child's key is its parent's plus the
     step.  The last level is fused: the children of a crystal of bound - 1
     atoms are counted in the loop that chose its last atom, so leaves are
-    never built.  The counts are grouped by dimension once at the end.  Z
+    never built.  An atom gets its number, key and constant when the walk
+    first meets it, so ERC atoms the walk never reaches cost nothing past
+    ``build_erc``.  The counts are grouped by dimension once at the end.  Z
     is canonical by construction, so it is built by ``QSeries._with``
     without the constructor's input checks.
     """
