@@ -33,6 +33,7 @@ from .errors import (
     InconsistentPoset,
     InvalidSeedArrow,
     ValidationError,
+    _check_int,
 )
 from .geometry import PeriodicQuiver, ReferenceGrading
 
@@ -74,6 +75,7 @@ def valid_seed_arrows(q: PeriodicQuiver, diagram, corner: int) -> frozenset:
 
 
 def framing_d4(q: PeriodicQuiver, diagram, corner: int, seed: str | None = None) -> Framing:
+    _check_int(corner, "framing_d4: corner")
     if not 0 <= corner < len(diagram.corners):
         raise ValidationError(
             f"corner index {corner} out of range 0..{len(diagram.corners) - 1}"
@@ -174,9 +176,12 @@ def build_erc(
     hold, each with its whole predecessor list (see the module docstring).
     The sweep takes the grades in rising order.  An atom reached at two
     grades raises ``InconsistentPoset``; an allowed arrow in no cut raises
-    ``ValidationError``, since the grade would not rise along it.
+    ``ValidationError``, since the grade would not rise along it, and so
+    does a ``max_atoms`` that is not a nonnegative int.
     """
 
+    if _check_int(max_atoms, "build_erc: max_atoms") < 0:
+        raise ValidationError(f"build_erc: max_atoms must be nonnegative, got {max_atoms}")
     steps: dict = {}
     for a in q.arrows:
         if a.id in framing.allowed:

@@ -5,7 +5,8 @@ Every failure mode raised by this package derives from MoltenDTError.  The
 error: 1 for input that cannot be accepted or served, 2 for an integrity
 violation discovered while computing (the data was plausible, the pipeline
 caught an inconsistency).  Every class here is raised somewhere in the
-package; a class comes with the code that raises it.
+package; a class comes with the code that raises it.  ``_check_int`` is
+the one check for integer arguments that the modules share.
 """
 
 from __future__ import annotations
@@ -105,3 +106,12 @@ class InvalidInterval(MoltenDTError):
     """A side interval refers to unknown sides or is empty."""
 
     exit_code = 1
+
+
+def _check_int(x, what):
+    """``x`` if it is an int, else ValidationError naming ``what`` and x.
+
+    int() would truncate a float and read a bool as 0 or 1."""
+    if type(x) is not int:
+        raise ValidationError("%s must be an int, got %r" % (what, x))
+    return x

@@ -36,6 +36,7 @@ from .errors import (
     InfeasiblePattern,
     InvalidInterval,
     ValidationError,
+    _check_int,
 )
 from .geometry import PeriodicQuiver, ReferenceGrading, euler_form
 from .matchings import ToricDiagramData
@@ -52,6 +53,11 @@ class Slope:
     sp: Vec
 
     def __post_init__(self):
+        for what, vec in (("slope", self.s), ("tie-breaker", self.sp)):
+            if not isinstance(vec, tuple) or len(vec) != 2:
+                raise ValidationError(f"Slope: {what} {vec!r} is not a pair of ints")
+            for x in vec:
+                _check_int(x, f"Slope: {what} entry")
         (sx, sy), (tx, ty) = self.s, self.sp
         if (sx, sy) == (0, 0):
             raise ValidationError("slope functional must be nonzero")
@@ -137,6 +143,7 @@ def make_slope(
             (side.l, -1 if side.name in negative else 1) for side in diagram.sides
         ]
     else:
+        _check_int(corner, "make_slope: corner")
         n = len(diagram.corners)
         if not 0 <= corner < n:
             raise ValidationError(f"corner index {corner} out of range 0..{n - 1}")

@@ -29,24 +29,32 @@ and F_d = |d|^{-1} sum_{d'} |d'| s_{d'} F_{d-d'}.  Exp(f) takes
 s = sum_k psi_k(f)/k.  Log undoes both steps: log F = D^{-1}(F^{-1} D F) and
 Log F = sum_k mu(k)/k psi_k(log F).
 
-Inside qmul and qinv, Laurent coefficients are packed.  A coefficient
-sum_i c_i v^(e+i) becomes (P, e): P = sum_i c_i 2^(K i) is one Python int
-and e is the lowest exponent.  The shift by v^<d',d''> adds to e; a product
-is P1 P2 at e1 + e2; a sum shifts the P of higher e left by K times the
-gap.  All of this is exact for every K.  Only reading the balanced base-2^K
-digits back needs |c_i| < 2^(K-1), so K is fixed before packing from a
-bound on the L1 norm of every result coefficient.  Width rule: qmul takes
-the product of its inputs' total norms.  qinv takes the largest g_n of the
-norm recursion g_0 = 1, g_n = sum_{j=1..n} m_j g_{n-j}, where m_j is the
-total norm of the input at |d| = j; g_n bounds the sum of the inverse's
-norms over all d with |d| = n.  Results become VRational again in
-``QSeries._with``.
+The module has one twisted-product loop, in qmul, and one triangular
+recursion, in _solve.  Both work on coefficients in one shape, (X, e),
+meaning X v^e.  The twist v^<d',d''> adds to e; a product multiplies the
+two X and adds the two e; two terms that meet at one d are summed after
+the X of higher e is shifted down by the gap.  An encoding says what X is,
+how to shift it and how to read it back as a VRational:
 
-The packed path runs when every input coefficient is Laurent with
-denominator 1 and, for qinv, the constant term is +-v^k; Log's qinv and
-qmul take it for a Laurent F.  True fractions take the VRational loops:
-qinv(1 + v + ...), Exp with its 1/|d| scale and 1/k weights, and Log's
-division by |d| and mu(k)/k weights.
+- packed: a Laurent coefficient sum_i c_i v^(e+i) is (P, e), where
+  P = sum_i c_i 2^(K i) is one Python int and e the lowest exponent.  A
+  shift by j moves P left by K j bits, and reading takes P's balanced
+  base-2^K digits.  Products and sums are exact for every K.  Only reading
+  back needs |c_i| < 2^(K-1), so K is fixed before packing from a bound on
+  the L1 norm of every result coefficient.  Width rule: qmul takes the
+  product of its inputs' total norms.  qinv takes the largest g_n of the
+  norm recursion g_0 = 1, g_n = sum_{j=1..n} m_j g_{n-j}, where m_j is the
+  total norm of the input at |d| = j; g_n bounds the sum of the inverse's
+  norms over all d with |d| = n.
+- plain: X is a VRational and e starts at 0.  VRational.shift both shifts
+  and reads.
+
+qmul and qinv choose from their input.  They pack when every coefficient
+is Laurent and, for qinv, the constant term is +-v^k, so Log's qinv and
+qmul pack for a Laurent F.  Everything else is plain: qinv(1 + v + ...)
+and Exp, whose 1/|d| scale and 1/k weights are true fractions.  Log's
+division by |d| and its mu(k)/k weights act after the kernels, on
+VRational coefficients.
 
 No floating point is used anywhere; polynomial gcds run a primitive
 pseudo-remainder sequence over the integers.
@@ -68,6 +76,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     ValidationError,
+    _check_int,
 )
 
 __all__ = [
@@ -421,13 +430,6 @@ class VRational:
 # QSeries: truncated twisted series with VRational coefficients
 
 
-def _check_int(x, what):
-    # int() would truncate a float and accept a bool
-    if type(x) is not int:
-        raise ValidationError("%s must be an int, got %r" % (what, x))
-    return x
-
-
 def _check_twist(twist):
     rows = tuple(tuple(_check_int(x, "twist entry") for x in row) for row in twist)
     n = len(rows)
@@ -629,71 +631,11 @@ def _by_degree(terms, twist, bound):
     return rows
 
 
-def qmul(a, b):
-    """Twisted product: (ab)_d = sum over d'+d''=d of a_{d'} b_{d''} v^{<d',d''>}."""
-    _shape_check(a, b)
-    na, nb = _laurent_nums(a.terms), _laurent_nums(b.terms)
-    if na is not None and nb is not None:
-        # every product coefficient is at most the product of the total norms
-        K = _width(sum(map(_norm, na.values())) * sum(map(_norm, nb.values())))
-        table = _pmul(_pack_all(na, K), _pack_all(nb, K), a.twist, a.bound, K)
-        return _with_unpacked(a, table, K)
-    rows = _by_degree(b.terms, a.twist, a.bound)
-    out = {}
-    for d1, c1 in a.terms.items():
-        for row in rows[: a.bound - sum(d1) + 1]:
-            for d2, t2, c2 in row:
-                d = tuple(map(add, d1, d2))
-                c = (c1 * c2).shift(_dot(d1, t2))
-                acc = out.get(d)
-                out[d] = c if acc is None else acc + c
-    return a._with(out)
-
-
-def _solve(a, first, scale):
-    """The triangular recursion of the module docstring, by total degree."""
-    z = (0,) * a.nvars
-    # <d', e> = -e . (T d') for the antisymmetric twist T
-    steps = [
-        (d1, sum(d1), _twist_vec(a.twist, d1), c1)
-        for d1, c1 in a.terms.items()
-        if any(d1)
-    ]
-    out = {z: first}
-    by_degree = [[z]]
-    for n in range(1, a.bound + 1):
-        acc = {}
-        for d1, s1, t1, c1 in steps:
-            if s1 > n:
-                continue
-            for d2 in by_degree[n - s1]:
-                d = tuple(x + y for x, y in zip(d1, d2))
-                c = (c1 * out[d2]).shift(-_dot(d2, t1))
-                prev = acc.get(d)
-                acc[d] = c if prev is None else prev + c
-        k = scale(n)
-        for d, c in acc.items():
-            out[d] = c * k
-        by_degree.append(list(acc))
-    return a._with(out)
-
-
-def qinv(a):
-    """Two-sided inverse; needs an invertible constant term."""
-    z = (0,) * a.nvars
-    c0 = a.coeff(z)
-    if not c0:
-        raise NonUnitConstantTerm("constant term is zero")
-    nums = _laurent_nums(a.terms)
-    if nums is not None and _is_unit_monomial(nums[z]):
-        K = _inverse_width(nums, a.bound)
-        return _with_unpacked(a, _pinv(_pack_all(nums, K), a.twist, a.bound, K), K)
-    inv = VRational.one() / c0
-    return _solve(a, inv, lambda n: -inv)
-
-
 # ---------------------------------------------------------------------------
-# packed Laurent coefficients, see the module docstring
+# coefficients as (X, e), meaning X v^e, in two encodings; see the module
+# docstring.  An encoding is (encode, shift, read): encode turns a term
+# table into {d: (X, e)}, shift(X, j) is X v^j in X's own encoding, and
+# read(X, e) is the VRational X v^e.
 
 
 def _laurent_nums(terms):
@@ -733,18 +675,6 @@ def _inverse_width(nums, bound):
     return _width(max(g))
 
 
-def _pack_all(nums, K):
-    """{d: (P, e)} for {d: Laurent numerator}."""
-    table = {}
-    for d, num in nums.items():
-        e = min(num)
-        P = 0
-        for x, c in num.items():
-            P += c << K * (x - e)
-        table[d] = P, e
-    return table
-
-
 def _unpack(P, e, K):
     """The Laurent numerator whose balanced base-2^K digits make P."""
     num = {}
@@ -758,63 +688,101 @@ def _unpack(P, e, K):
     return num
 
 
-def _with_unpacked(a, table, K):
-    """The series of a's bound and twist from a packed table at width K."""
-    return a._with(
-        {
-            d: VRational(_unpack(P, e, K), dict(_DEN_ONE), _raw=True)
-            for d, (P, e) in table.items()
-        }
-    )
+def _packed(K):
+    """The packed encoding at width K, for Laurent coefficients."""
+
+    def encode(terms):
+        table = {}
+        for d, c in terms.items():
+            e = min(c._num)
+            table[d] = sum(x << K * (i - e) for i, x in c._num.items()), e
+        return table
+
+    def read(P, e):
+        return VRational(_unpack(P, e, K), dict(_DEN_ONE), _raw=True)
+
+    return encode, lambda P, j: P << K * j, read
 
 
-def _padd(acc, d, P, e, K):
-    """acc[d] += (P, e), aligning the two lowest exponents."""
+def _plain(terms):
+    return {d: (c, 0) for d, c in terms.items()}
+
+
+_PLAIN = _plain, VRational.shift, VRational.shift
+
+
+def _accumulate(acc, d, X, e, shift):
+    """acc[d] += (X, e), shifting the term of higher e down to the lower."""
     prev = acc.get(d)
     if prev is None:
-        acc[d] = P, e
+        acc[d] = X, e
         return
-    P0, e0 = prev
+    X0, e0 = prev
     if e < e0:
-        P, e, P0, e0 = P0, e0, P, e
-    acc[d] = P0 + (P << K * (e - e0)), e0
+        X, e, X0, e0 = X0, e0, X, e
+    acc[d] = X0 + shift(X, e - e0), e0
 
 
-def _pmul(ta, tb, twist, bound, K):
-    """qmul on packed tables."""
-    rows = _by_degree(tb, twist, bound)
+def qmul(a, b):
+    """Twisted product: (ab)_d = sum over d'+d''=d of a_{d'} b_{d''} v^{<d',d''>}."""
+    _shape_check(a, b)
+    na, nb = _laurent_nums(a.terms), _laurent_nums(b.terms)
+    if na is not None and nb is not None:
+        # every product coefficient is at most the product of the total norms
+        K = _width(sum(map(_norm, na.values())) * sum(map(_norm, nb.values())))
+        encode, shift, read = _packed(K)
+    else:
+        encode, shift, read = _PLAIN
+    rows = _by_degree(encode(b.terms), a.twist, a.bound)
     out = {}
-    for d1, (P1, e1) in ta.items():
-        for row in rows[: bound - sum(d1) + 1]:
-            for d2, t2, (P2, e2) in row:
-                d = tuple(map(add, d1, d2))
-                _padd(out, d, P1 * P2, e1 + e2 + _dot(d1, t2), K)
-    return out
+    for d1, (X1, e1) in encode(a.terms).items():
+        for row in rows[: a.bound - sum(d1) + 1]:
+            for d2, t2, (X2, e2) in row:
+                e = e1 + e2 + _dot(d1, t2)
+                _accumulate(out, tuple(map(add, d1, d2)), X1 * X2, e, shift)
+    return a._with({d: read(X, e) for d, (X, e) in out.items()})
 
 
-def _pinv(ta, twist, bound, K):
-    """_solve for the inverse on packed tables whose constant term is
-    s v^k, s = +-1: first = s v^-k and scale = -s v^-k."""
-    z = (0,) * len(twist)
-    s, k = ta[z]
-    steps = sorted(
-        (sum(d1), d1, _twist_vec(twist, d1), c1) for d1, c1 in ta.items() if any(d1)
-    )
-    out = {z: (s, -k)}
+def _solve(a, encoding, first, scale):
+    """The triangular recursion of the module docstring, by total degree,
+    on a's terms in ``encoding``; first and scale(n) are (X, e) pairs."""
+    encode, shift, read = encoding
+    z = (0,) * a.nvars
+    # <d', e> = -e . (T d') for the antisymmetric twist T
+    steps = _by_degree(encode(a.terms), a.twist, a.bound)
+    out = {z: first}
     by_degree = [[z]]
-    for n in range(1, bound + 1):
+    for n in range(1, a.bound + 1):
         acc = {}
-        for s1, d1, t1, (P1, e1) in steps:
-            if s1 > n:
-                break
-            for d2 in by_degree[n - s1]:
-                P2, e2 = out[d2]
-                d = tuple(map(add, d1, d2))
-                _padd(acc, d, P1 * P2, e1 + e2 - _dot(d2, t1), K)
-        for d, (P, e) in acc.items():
-            out[d] = -s * P, e - k
+        for s1 in range(1, n + 1):
+            for d1, t1, (X1, e1) in steps[s1]:
+                for d2 in by_degree[n - s1]:
+                    X2, e2 = out[d2]
+                    e = e1 + e2 - _dot(d2, t1)
+                    _accumulate(acc, tuple(map(add, d1, d2)), X1 * X2, e, shift)
+        Xs, es = scale(n)
+        for d, (X, e) in acc.items():
+            out[d] = X * Xs, e + es
         by_degree.append(list(acc))
-    return out
+    return a._with({d: read(X, e) for d, (X, e) in out.items()})
+
+
+def qinv(a):
+    """Two-sided inverse; needs an invertible constant term."""
+    z = (0,) * a.nvars
+    c0 = a.coeff(z)
+    if not c0:
+        raise NonUnitConstantTerm("constant term is zero")
+    nums = _laurent_nums(a.terms)
+    if nums is not None and _is_unit_monomial(nums[z]):
+        # c0 = s v^k with s = +-1, so c0^-1 = s v^-k
+        ((k, s),) = nums[z].items()
+        encoding = _packed(_inverse_width(nums, a.bound))
+        first, step = (s, -k), (-s, -k)
+    else:
+        inv = VRational.one() / c0
+        encoding, first, step = _PLAIN, (inv, 0), (-inv, 0)
+    return _solve(a, encoding, first, lambda n: step)
 
 
 def _check_commuting(series):
@@ -869,7 +837,10 @@ def exp_pleth(f, adams="v"):
     _check_commuting(f)
     s = _adams_sum(f, lambda k: VRational.fraction({0: 1}, {0: k}), adams)
     return _solve(
-        _grade(s), VRational.one(), lambda n: VRational.fraction({0: 1}, {0: n})
+        _grade(s),
+        _PLAIN,
+        (VRational.one(), 0),
+        lambda n: (VRational.fraction({0: 1}, {0: n}), 0),
     )
 
 
@@ -889,35 +860,28 @@ def log_pleth(F, adams="v"):
 def apply_symmetry(obj, which, node=None):
     """S_{+i}, S_{-i} (v^{+-d_i} on the coefficient of x^d) or the bar
     anti-involution Sigma.  On a QSeries, Sigma requires central support."""
+    if not isinstance(obj, (QSeries, BpsTable)):
+        raise ValidationError("unsupported operand %r" % type(obj).__name__)
     if which in ("S+", "S-"):
         if node is None:
             raise ValidationError("S symmetries need a node index")
         _check_int(node, "node index")
+        if not 0 <= node < obj.nvars:
+            raise ValidationError("node index %r out of range" % (node,))
         sign = 1 if which == "S+" else -1
+        terms = {d: c.shift(sign * d[node]) for d, c in obj.terms.items()}
         if isinstance(obj, QSeries):
-            if not 0 <= node < obj.nvars:
-                raise ValidationError("node index %r out of range" % (node,))
-            return obj._with({d: c.shift(sign * d[node]) for d, c in obj.terms.items()})
-        if isinstance(obj, BpsTable):
-            if not 0 <= node < obj.nvars:
-                raise ValidationError("node index %r out of range" % (node,))
-            return BpsTable(
-                obj.nvars,
-                {d: c.shift(sign * d[node]) for d, c in obj.terms.items()},
-                obj.bound,
-            )
-        raise ValidationError("unsupported operand %r" % type(obj).__name__)
+            return obj._with(terms)
+        return BpsTable(obj.nvars, terms, obj.bound)
     if which == "sigma":
-        if isinstance(obj, QSeries):
-            for d in obj.support():
-                if any(_twist_vec(obj.twist, d)):
-                    raise NonCentralSigma(
-                        "support vector %r is not central for the twist" % (d,)
-                    )
-            return obj._with({d: c.bar() for d, c in obj.terms.items()})
         if isinstance(obj, BpsTable):
             return obj.bar()
-        raise ValidationError("unsupported operand %r" % type(obj).__name__)
+        for d in obj.support():
+            if any(_twist_vec(obj.twist, d)):
+                raise NonCentralSigma(
+                    "support vector %r is not central for the twist" % (d,)
+                )
+        return obj._with({d: c.bar() for d, c in obj.terms.items()})
     raise ValidationError("unknown symmetry %r" % (which,))
 
 

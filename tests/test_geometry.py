@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +64,18 @@ def write(tmp_path, obj, name="geom.json"):
     return p
 
 
+CATALOG_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_catalog.py"
+
+
+def assert_shipped_catalog(out):
+    """The catalog files written to ``out`` are the shipped ones, byte for byte."""
+    shipped = Path(moltendt.__file__).parent / "catalog"
+    names = sorted(f.name for f in shipped.glob("*.json"))
+    assert sorted(f.name for f in out.glob("*.json")) == names
+    for name in names:
+        assert (out / name).read_bytes() == (shipped / name).read_bytes(), name
+
+
 def flip_colors(tiling):
     out = {"nodes": [], "edges": []}
     for n in tiling["nodes"]:
@@ -88,17 +103,34 @@ class TestBuiltins:
         }
 
     def test_make_catalog_reproduces_catalog(self, tmp_path, monkeypatch):
-        tool = Path(__file__).resolve().parent.parent / "tools" / "make_catalog.py"
-        spec = importlib.util.spec_from_file_location("make_catalog", tool)
+        spec = importlib.util.spec_from_file_location("make_catalog", CATALOG_TOOL)
         make_catalog = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(make_catalog)
         monkeypatch.setattr(make_catalog, "OUT", tmp_path)
         assert make_catalog.main() == 0
-        shipped = Path(moltendt.__file__).parent / "catalog"
-        names = sorted(f.name for f in shipped.glob("*.json"))
-        assert sorted(f.name for f in tmp_path.glob("*.json")) == names
-        for name in names:
-            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+        assert_shipped_catalog(tmp_path)
+
+    def test_make_catalog_reproduces_catalog_under_optimize(self, tmp_path):
+        # python -O strips assert statements; the tool orients pdp3a on its
+        # checks, so they must still run there
+        script = (
+            "import importlib.util, sys\n"
+            "from pathlib import Path\n"
+            "spec = importlib.util.spec_from_file_location('make_catalog', sys.argv[1])\n"
+            "tool = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tool)\n"
+            "tool.OUT = Path(sys.argv[2])\n"
+            "sys.exit(tool.main())\n"
+        )
+        src = str(Path(moltendt.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-O", "-c", script, str(CATALOG_TOOL), str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True,
+            capture_output=True,
+        )
+        assert_shipped_catalog(tmp_path)
 
     def test_c3(self):
         q = load_geometry("c3")

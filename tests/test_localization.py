@@ -418,6 +418,39 @@ class TestWalkOutput:
             gc.enable()
 
 
+class TestIntegerArguments:
+    # each was an untyped error, a truncation or a bool read as 1; a
+    # ValidationError names the stage and the value before any work is done
+
+    @pytest.mark.parametrize("bound", [-1, 2.5, "3", True])
+    def test_walk_bound(self, bound):
+        q, grading, d, s = nil_slope("c3", ("z1",))
+        with pytest.raises(ValidationError, match="^build_erc: max_atoms") as err:
+            framed_partition_function(q, grading, framing_d6(q, 0), s, bound)
+        assert err.value.exit_code == 1
+        assert repr(bound) in str(err.value)
+
+    @pytest.mark.parametrize("corner", [1.5, True])
+    def test_make_slope_corner(self, corner):
+        _, _, d = setting("conifold")
+        with pytest.raises(ValidationError, match="^make_slope: corner must be an int"):
+            make_slope(d, corner=corner)
+
+    @pytest.mark.parametrize("corner", [1.5, True])
+    def test_framing_d4_corner(self, corner):
+        q, _, d = setting("conifold")
+        with pytest.raises(ValidationError, match="^framing_d4: corner must be an int"):
+            framing_d4(q, d, corner)
+
+    @pytest.mark.parametrize(
+        "s, sp",
+        [((1, 0, 5), (0, 1)), ("ab", (0, 1)), ((1.0, 0), (0, 1)), ((1, 0), (0, 1.5))],
+    )
+    def test_slope_vectors(self, s, sp):
+        with pytest.raises(ValidationError, match="^Slope: "):
+            Slope(s, sp)
+
+
 def atom(k):
     return (0, (k, 0), 0)
 

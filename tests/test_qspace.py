@@ -451,9 +451,9 @@ units = st.one_of(
 )
 
 # The loops below are the series definitions of the product, inverse, Exp
-# and Log.  qspace solves the same series degree by degree on packed
-# coefficients; these loops multiply VRational pairs one by one and share
-# no product code with it, so they are its oracles.
+# and Log.  qspace solves the same series degree by degree on packed or
+# plain coefficients; these loops multiply VRational pairs one by one and
+# share no product code with it, so they are its oracles.
 
 MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0}
 
@@ -666,3 +666,58 @@ class TestPackedPath:
             2, FLAT, {(0, 0): 1, (2, 0): lau({10: -(2**132), 0: 2**67, -10: -1})}
         )
 
+
+# Plain coefficients: Laurent polynomials divided by 2, by 1 + v and by
+# v - v^-1.  A true fraction off the constant term keeps qmul and qinv on
+# VRational coefficients.
+
+plain_coeffs = st.builds(
+    lambda c, den: c / den,
+    coeffs.filter(bool),
+    st.sampled_from([lau({0: 2}), lau({0: 1, 1: 1}), lau({1: 1, -1: -1})]),
+)
+
+
+def _plain_series(twist, bound=3):
+    return (
+        st.dictionaries(dims, st.one_of(coeffs, plain_coeffs), min_size=1, max_size=5)
+        .filter(lambda terms: any(not c.is_laurent for d, c in terms.items() if any(d)))
+        .map(lambda terms: QSeries(bound, twist, terms))
+    )
+
+
+class TestPlainPath:
+    @settings(max_examples=40, deadline=None)
+    @given(_plain_series(TWISTED), st.one_of(_series(TWISTED), _plain_series(TWISTED)))
+    def test_qmul_matches_reference(self, a, b):
+        assert qmul(a, b) == qmul_reference(a, b)
+        assert qmul(b, a) == qmul_reference(b, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plain_series(TWISTED), units)
+    def test_qinv_matches_neumann_series(self, a, c0):
+        u = a - a.constant_part() + QSeries.unit(3, TWISTED).scale(c0)
+        assert qinv(u) == neumann_inverse(u)
+
+    def test_terms_with_different_shifts_meet(self):
+        # x0 x1 = v^-1 x^(1,1) and x1 x0 = v x^(1,1), so both (x0 + x1)^2 / 4
+        # and the degree-2 part of 1 / (1 + (x0 + x1) / 2) sum a v^-1 term
+        # and a v term at (1, 1)
+        half, quarter = _frac(1, 2), _frac(1, 4)
+        a = QSeries(2, TWISTED, {(1, 0): half, (0, 1): half})
+        meet = lau({-1: 1, 1: 1}) * quarter
+        assert qmul(a, a) == QSeries(
+            2, TWISTED, {(2, 0): quarter, (1, 1): meet, (0, 2): quarter}
+        )
+        assert qinv(QSeries.unit(2, TWISTED) + a) == QSeries(
+            2,
+            TWISTED,
+            {
+                (0, 0): 1,
+                (1, 0): -half,
+                (0, 1): -half,
+                (2, 0): quarter,
+                (1, 1): meet,
+                (0, 2): quarter,
+            },
+        )

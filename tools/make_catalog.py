@@ -9,8 +9,10 @@ point is produced by dualizing its tiling, then renaming faces and arrows.
 Every entry is validated before freezing: counts, diagram invariants, and
 the strip fixtures that pin the diagram orientation.  If an entry comes out
 mirror-imaged, its displacements are reflected (axis swap) and rechecked.
+The checks raise ``CheckFailed`` rather than assert, so ``python -O``
+writes the same files.
 
-Run from the repository root:  python3 tools/make_catalog.py
+Run from the repository root:  PYTHONPATH=src python3 tools/make_catalog.py
 """
 
 from __future__ import annotations
@@ -26,6 +28,16 @@ from moltendt.matchings import toric_diagram, zigzag_analysis
 OUT = Path(__file__).resolve().parent.parent / "src" / "moltendt" / "catalog"
 
 E1, E2 = (1, 0), (0, 1)
+
+
+class CheckFailed(Exception):
+    """An entry failed a check.  Raised, not asserted, so that the checks
+    and the orientation that rests on them also run under ``python -O``."""
+
+
+def require(ok, what):
+    if not ok:
+        raise CheckFailed(what)
 
 
 def add(u, v):
@@ -44,7 +56,7 @@ def honeycomb(nodes, class_of, reps, basis, name):
 
     def coords(v):
         p, q = v[0] * u2y - u2x * v[1], u1x * v[1] - v[0] * u1y
-        assert p % det == 0 and q % det == 0, (v, basis)
+        require(p % det == 0 and q % det == 0, f"{v} is not on the lattice of {basis}")
         return (p // det, q // det)
 
     steps = {"a": E1, "b": E2, "c": (-1, -1)}
@@ -214,7 +226,7 @@ def build_spp():
         (-1, ("phi13", "phi32", "phi23", "phi31")),
     }
     got = {(t["sign"], tuple(t["cycle"])) for t in obj["potential"]}
-    assert got == expect, got
+    require(got == expect, f"spp potential {got}")
     return obj
 
 
@@ -234,72 +246,77 @@ def fam(q, prefix):
 
 def check_c3(obj):
     q, d, zz = analyze(obj)
-    assert [(c.arrows, c.point) for c in d.cuts] == [
-        (frozenset({"c"}), (0, 0)),
-        (frozenset({"b"}), (0, 1)),
-        (frozenset({"a"}), (1, 0)),
-    ]
-    assert [s.l for s in d.sides] == [(-1, 0), (1, 1), (0, -1)]
+    require(
+        [(c.arrows, c.point) for c in d.cuts]
+        == [
+            (frozenset({"c"}), (0, 0)),
+            (frozenset({"b"}), (0, 1)),
+            (frozenset({"a"}), (1, 0)),
+        ],
+        "c3 cuts",
+    )
+    require([s.l for s in d.sides] == [(-1, 0), (1, 1), (0, -1)], "c3 side normals")
 
 
 def check_conifold(obj):
     q, d, zz = analyze(obj)
-    assert {c.point for c in d.cuts} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert len(d.cuts) == 4
+    require({c.point for c in d.cuts} == {(0, 0), (0, 1), (1, 0), (1, 1)}, "conifold corners")
+    require(len(d.cuts) == 4, "conifold cut count")
 
 
 def check_local_p2(obj):
     q, d, zz = analyze(obj)
-    assert sorted(s.K for s in d.sides) == [1, 1, 1]
-    assert (d.b, d.i_int) == (3, 1)
-    assert {s.start_cut.arrows for s in d.sides} == {
-        fam(q, "a"), fam(q, "b"), fam(q, "c")
-    }
+    require(sorted(s.K for s in d.sides) == [1, 1, 1], "local-p2 side lengths")
+    require((d.b, d.i_int) == (3, 1), "local-p2 point counts")
+    require(
+        {s.start_cut.arrows for s in d.sides} == {fam(q, "a"), fam(q, "b"), fam(q, "c")},
+        "local-p2 corner cuts",
+    )
 
 
 def check_pdp3a(obj):
     q, d, zz = analyze(obj)
-    assert sorted(s.K for s in d.sides) == [1, 2, 3]
-    assert (d.b, d.i_int) == (6, 1)
+    require(sorted(s.K for s in d.sides) == [1, 2, 3], "pdp3a side lengths")
+    require((d.b, d.i_int) == (6, 1), "pdp3a point counts")
     k3 = next(s for s in zz.sides if s.side.K == 3)
-    assert k3.side.start_cut.arrows == fam(q, "phi1")
-    assert k3.side.end_cut.arrows == fam(q, "phi2")
-    assert k3.zig[0] == {"phi1_13", "phi1_40"}
-    assert k3.zag[0] == {"phi2_01", "phi2_34"}
+    require(k3.side.start_cut.arrows == fam(q, "phi1"), "pdp3a K=3 start cut")
+    require(k3.side.end_cut.arrows == fam(q, "phi2"), "pdp3a K=3 end cut")
+    require(k3.zig[0] == {"phi1_13", "phi1_40"}, "pdp3a K=3 zig")
+    require(k3.zag[0] == {"phi2_01", "phi2_34"}, "pdp3a K=3 zag")
     k2 = next(s for s in zz.sides if s.side.K == 2)
-    assert k2.side.start_cut.arrows == fam(q, "phi2")
-    assert k2.side.end_cut.arrows == fam(q, "phi0")
-    assert k2.zig[0] == {"phi2_12", "phi2_34", "phi2_50"}
+    require(k2.side.start_cut.arrows == fam(q, "phi2"), "pdp3a K=2 start cut")
+    require(k2.side.end_cut.arrows == fam(q, "phi0"), "pdp3a K=2 end cut")
+    require(k2.zig[0] == {"phi2_12", "phi2_34", "phi2_50"}, "pdp3a K=2 zig")
     k1 = next(s for s in zz.sides if s.side.K == 1)
-    assert k1.side.start_cut.arrows == fam(q, "phi0")
-    assert k1.side.end_cut.arrows == fam(q, "phi1")
+    require(k1.side.start_cut.arrows == fam(q, "phi0"), "pdp3a K=1 start cut")
+    require(k1.side.end_cut.arrows == fam(q, "phi1"), "pdp3a K=1 end cut")
 
 
 def check_c3z2z2(obj):
     q, d, zz = analyze(obj)
-    assert sorted(s.K for s in d.sides) == [2, 2, 2]
-    assert (d.b, d.i_int) == (6, 0)
+    require(sorted(s.K for s in d.sides) == [2, 2, 2], "c3-z2z2 side lengths")
+    require((d.b, d.i_int) == (6, 0), "c3-z2z2 point counts")
 
 
 def check_spp(obj):
     q, d, zz = analyze(obj)
-    assert sorted(s.K for s in d.sides) == [1, 1, 1, 2]
-    assert (d.b, d.i_int) == (5, 0)
+    require(sorted(s.K for s in d.sides) == [1, 1, 1, 2], "spp side lengths")
+    require((d.b, d.i_int) == (5, 0), "spp point counts")
     sz = next(
         s
         for s in zz.sides
         if {s.side.start_cut.arrows, s.side.end_cut.arrows}
         == {frozenset({"phi11", "phi32"}), frozenset({"phi11", "phi23"})}
     )
-    assert sz.side.start_cut.arrows == {"phi11", "phi32"}
-    assert sz.zig == (frozenset({"phi32"}),)
-    assert sz.zag == (frozenset({"phi23"}),)
+    require(sz.side.start_cut.arrows == {"phi11", "phi32"}, "spp start cut")
+    require(sz.zig == (frozenset({"phi32"}),), "spp zig")
+    require(sz.zag == (frozenset({"phi23"}),), "spp zag")
 
 
 def check_c2z2xc(obj):
     q, d, zz = analyze(obj)
-    assert sorted(s.K for s in d.sides) == [1, 1, 2]
-    assert (d.b, d.i_int) == (4, 0)
+    require(sorted(s.K for s in d.sides) == [1, 1, 2], "c2z2-x-c side lengths")
+    require((d.b, d.i_int) == (4, 0), "c2z2-x-c point counts")
 
 
 def flip(obj):
@@ -328,7 +345,7 @@ def main():
         oriented = "as built"
         try:
             check(obj)
-        except AssertionError:
+        except CheckFailed:
             obj = flip(obj)
             check(obj)
             oriented = "reflected"
