@@ -1,19 +1,23 @@
-"""Golden framed partition functions at bound 8.
+"""Golden framed partition functions and their series at bound 8.
 
 ``fixtures/z_b8.json`` holds, for every builtin, every D6 node and every
 D4 corner, the SHA-256 of the canonical ``series_to_json`` text of Z
 under the corner slope and under its negation.  D6 framings use the
-slope of corner 0, D4 framings the slope of their own corner.  A
+slope of corner 0, D4 framings the slope of their own corner.
+``fixtures/series_b8.json`` holds, for the same cases, the digests of
+``qinv(Z)`` and ``log_pleth(Z)``; where Log raises
+``NonCommutingSupport`` it holds that exception's name instead.  A
 refactor must leave every digest unchanged.
 
-To re-record the fixture after a deliberate change of output, run this
+To re-record the fixtures after a deliberate change of output, run this
 from the repository root with ``PYTHONPATH=src``::
 
     import json
-    from tests.test_golden import FIXTURE, BOUND, digests
-    FIXTURE.write_text(json.dumps(
-        {"bound": BOUND, "cases": dict(digests())}, indent=1, sort_keys=True
-    ) + "\\n")
+    from tests.test_golden import FIXTURE, SERIES_FIXTURE, BOUND, digests, series_digests
+    for path, cases in ((FIXTURE, digests()), (SERIES_FIXTURE, series_digests())):
+        path.write_text(json.dumps(
+            {"bound": BOUND, "cases": dict(cases)}, indent=1, sort_keys=True
+        ) + "\\n")
 """
 
 import hashlib
@@ -21,17 +25,24 @@ import json
 from pathlib import Path
 
 from moltendt.crystal import framing_d4, framing_d6
+from moltendt.errors import NonCommutingSupport
 from moltendt.geometry import builtin_names, load_geometry, reference_grading
 from moltendt.localization import framed_partition_function, make_slope
 from moltendt.matchings import toric_diagram
-from moltendt.qspace import series_to_json
+from moltendt.qspace import log_pleth, qinv, series_to_json
 
 FIXTURE = Path(__file__).parent / "fixtures" / "z_b8.json"
+SERIES_FIXTURE = Path(__file__).parent / "fixtures" / "series_b8.json"
 BOUND = 8
 
 
-def digests():
-    """(case key, digest) for every case, e.g. ("spp d4:2 -", "3f...")."""
+def digest(series):
+    text = json.dumps(series_to_json(series), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def partition_functions():
+    """(case key, Z) for every case, e.g. ("spp d4:2 -", Z)."""
 
     for name in builtin_names():
         q = load_geometry(name)
@@ -45,19 +56,38 @@ def digests():
             s = make_slope(d, corner=corner)
             for sign, slope in (("+", s), ("-", s.negated())):
                 z = framed_partition_function(q, grading, fr, slope, BOUND)
-                text = json.dumps(
-                    series_to_json(z), sort_keys=True, separators=(",", ":")
-                )
-                yield (
-                    f"{name} {label} {sign}",
-                    hashlib.sha256(text.encode()).hexdigest(),
-                )
+                yield f"{name} {label} {sign}", z
+
+
+def digests():
+    """(case key, digest of Z) for every case."""
+
+    for key, z in partition_functions():
+        yield key, digest(z)
+
+
+def series_digests():
+    """(case key, {"qinv": digest, "log_pleth": digest or exception name})."""
+
+    for key, z in partition_functions():
+        try:
+            log = digest(log_pleth(z))
+        except NonCommutingSupport as exc:
+            log = type(exc).__name__
+        yield key, {"qinv": digest(qinv(z)), "log_pleth": log}
+
+
+def check(path, got):
+    want = json.loads(path.read_text())
+    assert want["bound"] == BOUND
+    assert sorted(got) == sorted(want["cases"])
+    differ = [key for key in got if got[key] != want["cases"][key]]
+    assert not differ, f"series differ from {path.name}: {differ}"
 
 
 def test_every_case_matches_the_fixture():
-    want = json.loads(FIXTURE.read_text())
-    assert want["bound"] == BOUND
-    got = dict(digests())
-    assert sorted(got) == sorted(want["cases"])
-    differ = [key for key in got if got[key] != want["cases"][key]]
-    assert not differ, f"series differ from the fixture: {differ}"
+    check(FIXTURE, dict(digests()))
+
+
+def test_every_series_matches_the_fixture():
+    check(SERIES_FIXTURE, dict(series_digests()))
