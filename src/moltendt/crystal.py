@@ -60,8 +60,10 @@ class Framing:
 
 
 def framing_d6(q: PeriodicQuiver, node) -> Framing:
-    if node not in set(q.nodes):
-        raise ValidationError(f"framing node {node!r} is not a quiver node")
+    # a node matches by type as well as value: True == 1 and 1.0 == 1
+    at = q.node_index.get(node)
+    if at is None or type(q.nodes[at]) is not type(node):
+        raise ValidationError(f"framing_d6: node {node!r} is not a quiver node")
     return Framing(kind="d6", node=node, allowed=frozenset(a.id for a in q.arrows))
 
 
@@ -240,9 +242,14 @@ def enumerate_crystals(erc: EmptyRoomConfig, max_atoms: int) -> list[Crystal]:
     ideals without building them.  Grown ideal by ideal: an atom may join
     once all its predecessors are in.  Output is ordered by size, then
     canonical atom key; every emitted crystal is re-validated against the
-    predecessor lists.
+    predecessor lists.  A ``max_atoms`` that is not a nonnegative int
+    raises ``ValidationError``.
     """
 
+    if _check_int(max_atoms, "enumerate_crystals: max_atoms") < 0:
+        raise ValidationError(
+            f"enumerate_crystals: max_atoms must be nonnegative, got {max_atoms}"
+        )
     if erc.max_atoms < max_atoms:
         raise BoundTooSmall(
             f"atom graph built for {erc.max_atoms} atoms, below bound {max_atoms}"

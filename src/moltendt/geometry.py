@@ -219,6 +219,21 @@ class PeriodicQuiver:
         return {a.id: a for a in self.arrows}
 
     @functools.cached_property
+    def _euler_form(self) -> tuple:
+        n = len(self.nodes)
+        idx = self.node_index
+        arrows = [[0] * n for _ in range(n)]
+        for a in self.arrows:
+            arrows[idx[a.src]][idx[a.tgt]] += 1
+        chi = tuple(
+            tuple((1 if i == j else 0) - arrows[i][j] for j in range(n)) for i in range(n)
+        )
+        bracket = tuple(
+            tuple(chi[i][j] - chi[j][i] for j in range(n)) for i in range(n)
+        )
+        return chi, bracket
+
+    @functools.cached_property
     def cuts(self) -> tuple:
         """Every cut of the potential, canonically sorted."""
 
@@ -440,21 +455,11 @@ def load_geometry(source) -> PeriodicQuiver:
 def euler_form(q: PeriodicQuiver):
     """Numerical Euler form of the Jacobian algebra and its antisymmetrization.
 
-    Returned as a pair of integer matrices indexed like ``q.nodes``.
+    Returned as a pair of integer matrices indexed like ``q.nodes``,
+    computed once per quiver.
     """
 
-    n = len(q.nodes)
-    idx = q.node_index
-    arrows = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        arrows[idx[a.src]][idx[a.tgt]] += 1
-    chi = tuple(
-        tuple((1 if i == j else 0) - arrows[i][j] for j in range(n)) for i in range(n)
-    )
-    bracket = tuple(
-        tuple(chi[i][j] - chi[j][i] for j in range(n)) for i in range(n)
-    )
-    return chi, bracket
+    return q._euler_form
 
 
 class ReferenceGrading:

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .geometry import PeriodicQuiver, ReferenceGrading, euler_form
 from .matchings import ToricDiagramData
-from .qspace import QSeries, VRational
+from .qspace import QSeries, VRational, _dim_key, _keyed
 
 Vec = tuple
 
@@ -303,15 +303,17 @@ def framed_partition_function(
     along one arrow.
 
     A crystal is counted as soon as its atom is chosen, under the one int
-    dim * span + index, dim the sum of d_c (bound + 1)^c; a candidate
-    carries its step to that key, so a child's key is its parent's plus the
+    span * key(d) + index, key(d) the dimension key of the ``qspace``
+    module docstring and span larger than twice any |index|; a candidate
+    carries its step to that int, so a child's is its parent's plus the
     step.  The last level is fused: the children of a crystal of bound - 1
     atoms are counted in the loop that chose its last atom, so leaves are
     never built.  An atom gets its number, key and constant when the walk
     first meets it, so ERC atoms the walk never reaches cost nothing past
-    ``build_erc``.  The counts are grouped by dimension once at the end.  Z
-    is canonical by construction, so it is built by ``QSeries._with``
-    without the constructor's input checks.
+    ``build_erc``.  At the end the counts are grouped by key, one int sort
+    of the keys lists Z's terms in term order, and each key is decoded
+    once.  Z is canonical by construction, so it is built without the
+    constructor's input checks.
     """
 
     erc = build_erc(q, grading, framing, bound)
@@ -333,7 +335,9 @@ def framed_partition_function(
     span = 2 * off + 1
     # fixed[c]: the step of a colour-c atom from its dimension and from its
     # pairs with itself along loop arrows, of weight -disp
-    fixed = [radix**c * span for c in range(n)]
+    fixed = [
+        _dim_key([int(i == c) for i in range(n)], radix) * span for c in range(n)
+    ]
     between = [[[] for _ in range(n)] for _ in range(n)]
     present = [[] for _ in range(n)]
     into = [[] for _ in range(n)]
@@ -445,14 +449,8 @@ def framed_partition_function(
     del grow  # grow holds itself through its closure: free the walk's state now
     polys: dict = {}
     for k, count in counts.items():
-        dim, e = divmod(k + off, span)
-        polys.setdefault(dim, {})[e - off] = count
-    terms = {}
-    for dim, poly in polys.items():
-        d = []
-        for _ in range(n):
-            dim, x = divmod(dim, radix)
-            d.append(x)
-        # every count is positive, so poly is already a reduced numerator
-        terms[tuple(d)] = VRational(poly, {0: 1}, _raw=True)
-    return QSeries(bound, euler_form(q)[1])._with(terms)
+        key, e = divmod(k + off, span)
+        polys.setdefault(key, {})[e - off] = count
+    # every count is positive, so each poly is already a reduced numerator
+    coeffs = {key: VRational(poly, {0: 1}, _raw=True) for key, poly in polys.items()}
+    return _keyed(bound, euler_form(q)[1], coeffs)

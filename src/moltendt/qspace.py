@@ -15,6 +15,16 @@ dimension vectors are multiplied with the twist x^d x^{d'} = v^{<d,d'>}
 x^{d+d'} for an antisymmetric integer form, and every operation truncates at a
 fixed total degree.
 
+Inside the kernels a dimension vector d over n nodes is one int, its key
+
+    key(d) = |d| R^n + sum_c d_c R^(n-1-c),   R = bound + 1.
+
+Every entry of a vector the series holds is at most the bound, so the key
+is additive, key(d + d') = key(d) + key(d') and key(k d) = k key(d), and
+ints sort in the term order (|d|, d).  A kernel adds keys, decodes each
+distinct key of its result once and emits the terms in key order.
+``framed_partition_function`` counts crystals by the same key.
+
 Inverse, plethystic Exp and Log share one triangular recursion, `_solve`,
 which fills its result b one total degree |d| at a time:
 
@@ -26,14 +36,23 @@ the constant term c_0 of a.  Let D multiply x^d by |d|; D is a derivation of
 the twisted product, since |d + d'| = |d| + |d'|.  On a pairwise commuting
 support, F = exp(s) is then exactly the solution of D F = (D s) F: F_0 = 1
 and F_d = |d|^{-1} sum_{d'} |d'| s_{d'} F_{d-d'}.  Exp(f) takes
-s = sum_k psi_k(f)/k.  Log undoes both steps: log F = D^{-1}(F^{-1} D F) and
-Log F = sum_k mu(k)/k psi_k(log F).
+s = sum_k psi_k(f)/k, where psi_k sends c x^d to psi_k(c) x^{kd}.  Since
+D psi_k = k psi_k D, the factor 1/k cancels: D s = sum_k psi_k(D f).  Log
+undoes both steps: with log F = D^{-1}(F^{-1} D F) and
+Log F = sum_k mu(k)/k psi_k(log F), the same identity
+psi_k D^{-1} = k D^{-1} psi_k gives
+
+    (Log F)_d = |d|^{-1} sum over k | d of mu(k) psi_k(F^{-1} D F)_{d/k},
+
+integer Moebius weights and one division by |d| per term.
 
 The module has one twisted-product loop, in qmul, and one triangular
 recursion, in _solve.  Both work on coefficients in one shape, (X, e),
 meaning X v^e.  The twist v^<d',d''> adds to e; a product multiplies the
 two X and adds the two e; two terms that meet at one d are summed after
-the X of higher e is shifted down by the gap.  An encoding says what X is,
+the X of higher e is shifted down by the gap.  When the twist form is zero,
+as for every symmetric quiver, the twist term is skipped, and so is the
+pairwise commutation check of Exp and Log.  An encoding says what X is,
 how to shift it and how to read it back as a VRational:
 
 - packed: a Laurent coefficient sum_i c_i v^(e+i) is (P, e), where
@@ -52,9 +71,8 @@ how to shift it and how to read it back as a VRational:
 qmul and qinv choose from their input.  They pack when every coefficient
 is Laurent and, for qinv, the constant term is +-v^k, so Log's qinv and
 qmul pack for a Laurent F.  Everything else is plain: qinv(1 + v + ...)
-and Exp, whose 1/|d| scale and 1/k weights are true fractions.  Log's
-division by |d| and its mu(k)/k weights act after the kernels, on
-VRational coefficients.
+and Exp, whose 1/|d| scale is a true fraction.  Log's Moebius sum and
+its division by |d| act after the kernels, on VRational coefficients.
 
 No floating point is used anywhere; polynomial gcds run a primitive
 pseudo-remainder sequence over the integers.
@@ -66,7 +84,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     NonCentralSigma,
@@ -200,6 +218,13 @@ def _reduce(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, dict(_DEN_ONE)
+    if len(den) == 1:
+        # a monomial c v^k: num / c by their content gcd, v^-k into num
+        ((k, c),) = den.items()
+        g = gcd(_pcontent(num.values()), c)
+        if c < 0:
+            g = -g
+        return {e - k: x // g for e, x in num.items()}, {0: c // g}
     nmin = min(num)
     dmin = min(den)
     offset = nmin - dmin
@@ -320,6 +345,17 @@ class VRational:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:
+            # num and den are coprime in content, so only gcd(other, den)
+            # can cancel
+            if not other:
+                return VRational.zero()
+            g = gcd(other, _pcontent(self._den.values()))
+            return VRational(
+                {e: c * (other // g) for e, c in self._num.items()},
+                {e: c // g for e, c in self._den.items()},
+                _raw=True,
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -444,15 +480,43 @@ def _check_twist(twist):
 
 
 def _twist_vec(twist, d):
-    return tuple(_dot(row, d) for row in twist)
+    """The row d^T T = -T d, so that <d, d'> = _twist_vec(twist, d) . d'."""
+    return tuple([-sum(map(mul, row, d)) for row in twist])
 
 
-def _dot(d, w):
-    return sum(map(mul, d, w))
+def _twisted(twist):
+    return any(map(any, twist))
 
 
 def _sorted_terms(terms):
     return dict(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+
+
+def _dim_key(d, radix):
+    """key(d) of the module docstring, R = radix."""
+    k = sum(d)
+    for x in d:
+        k = k * radix + x
+    return k
+
+
+def _dim(k, n, radix):
+    """The vector d over n nodes with key(d) = k."""
+    d = [0] * n
+    for i in range(n - 1, -1, -1):
+        k, d[i] = divmod(k, radix)
+    return tuple(d)
+
+
+def _keyed(bound, twist, coeffs):
+    """The series with coefficient coeffs[k] at the vector of key k, in key
+    order, zero coefficients dropped and nothing checked; each key is
+    decoded once."""
+    n, radix = len(twist), bound + 1
+    terms = {_dim(k, n, radix): coeffs[k] for k in sorted(coeffs) if coeffs[k]}
+    out = QSeries.__new__(QSeries)
+    out.bound, out.twist, out.terms = bound, twist, terms
+    return out
 
 
 def _clean_terms(nvars, terms):
@@ -499,13 +563,13 @@ class QSeries:
         )
 
     def _with(self, terms):
-        """A series of this bound and twist from terms this module computed:
-        zero coefficients are dropped and the rest sorted, nothing else is
+        """A series of this bound and twist from terms this module computed
+        in term order: zero coefficients are dropped, nothing else is
         checked.  Outside input goes through ``QSeries(...)``."""
         out = QSeries.__new__(QSeries)
         out.bound = self.bound
         out.twist = self.twist
-        out.terms = _sorted_terms({d: c for d, c in terms.items() if c})
+        out.terms = {d: c for d, c in terms.items() if c}
         return out
 
     @property
@@ -537,7 +601,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         _shape_check(self, other)
-        return self._with(_merge_terms(self.terms, other.terms))
+        return self._with(_sorted_terms(_merge_terms(self.terms, other.terms)))
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -623,11 +687,17 @@ def _shape_check(a, b):
         )
 
 
-def _by_degree(terms, twist, bound):
-    """Rows of (d, T d, c) by total degree |d| = 0..bound, in term order."""
-    rows = [[] for _ in range(bound + 1)]
-    for d, c in terms.items():
-        rows[sum(d)].append((d, _twist_vec(twist, d), c))
+def _rows(series, encode, left):
+    """The terms of ``series`` as (key(d), w, X, e) by total degree
+    |d| = 0..bound, each coefficient as X v^e in ``encode``'s encoding.
+    w is what ``_products`` reads of a twisted factor: d^T T on the left
+    and d on the right."""
+    twist = series.twist if left and _twisted(series.twist) else None
+    radix = series.bound + 1
+    rows = [[] for _ in range(series.bound + 1)]
+    for d, (X, e) in encode(series.terms).items():
+        w = _twist_vec(twist, d) if twist else d
+        rows[sum(d)].append((_dim_key(d, radix), w, X, e))
     return rows
 
 
@@ -711,16 +781,25 @@ def _plain(terms):
 _PLAIN = _plain, VRational.shift, VRational.shift
 
 
-def _accumulate(acc, d, X, e, shift):
-    """acc[d] += (X, e), shifting the term of higher e down to the lower."""
-    prev = acc.get(d)
-    if prev is None:
-        acc[d] = X, e
-        return
-    X0, e0 = prev
-    if e < e0:
-        X, e, X0, e0 = X0, e0, X, e
-    acc[d] = X0 + shift(X, e - e0), e0
+def _products(acc, left, right, shift, twisted):
+    """acc[k + k'] += X X' v^(e + e' + <d, d'>) for every left term
+    (k, u, X, e) and right term (k', d', X', e'), keys k = key(d) and
+    k' = key(d'), u = d^T T.  Two terms that meet at one key are summed
+    after the X of higher e is shifted down to the lower."""
+    for k1, u, X1, e1 in left:
+        for k2, d, X2, e2 in right:
+            k = k1 + k2
+            X = X1 * X2
+            e = e1 + e2 + sum(map(mul, u, d)) if twisted else e1 + e2
+            prev = acc.get(k)
+            if prev is None:
+                acc[k] = X, e
+            else:
+                X0, e0 = prev
+                if e < e0:
+                    acc[k] = X + shift(X0, e0 - e), e
+                else:
+                    acc[k] = X0 + shift(X, e - e0), e0
 
 
 def qmul(a, b):
@@ -733,38 +812,35 @@ def qmul(a, b):
         encode, shift, read = _packed(K)
     else:
         encode, shift, read = _PLAIN
-    rows = _by_degree(encode(b.terms), a.twist, a.bound)
+    twisted = _twisted(a.twist)
+    right = _rows(b, encode, False)
     out = {}
-    for d1, (X1, e1) in encode(a.terms).items():
-        for row in rows[: a.bound - sum(d1) + 1]:
-            for d2, t2, (X2, e2) in row:
-                e = e1 + e2 + _dot(d1, t2)
-                _accumulate(out, tuple(map(add, d1, d2)), X1 * X2, e, shift)
-    return a._with({d: read(X, e) for d, (X, e) in out.items()})
+    for s, row in enumerate(_rows(a, encode, True)):
+        fits = [t for r in right[: a.bound - s + 1] for t in r]
+        _products(out, row, fits, shift, twisted)
+    return _keyed(a.bound, a.twist, {k: read(X, e) for k, (X, e) in out.items()})
 
 
 def _solve(a, encoding, first, scale):
     """The triangular recursion of the module docstring, by total degree,
     on a's terms in ``encoding``; first and scale(n) are (X, e) pairs."""
     encode, shift, read = encoding
-    z = (0,) * a.nvars
-    # <d', e> = -e . (T d') for the antisymmetric twist T
-    steps = _by_degree(encode(a.terms), a.twist, a.bound)
-    out = {z: first}
-    by_degree = [[z]]
+    nvars, radix = a.nvars, a.bound + 1
+    twisted = _twisted(a.twist)
+    steps = _rows(a, encode, True)
+    rows = [[(0, (0,) * nvars, *first)]]
     for n in range(1, a.bound + 1):
         acc = {}
-        for s1 in range(1, n + 1):
-            for d1, t1, (X1, e1) in steps[s1]:
-                for d2 in by_degree[n - s1]:
-                    X2, e2 = out[d2]
-                    e = e1 + e2 - _dot(d2, t1)
-                    _accumulate(acc, tuple(map(add, d1, d2)), X1 * X2, e, shift)
+        for s in range(1, n + 1):
+            _products(acc, steps[s], rows[n - s], shift, twisted)
         Xs, es = scale(n)
-        for d, (X, e) in acc.items():
-            out[d] = X * Xs, e + es
-        by_degree.append(list(acc))
-    return a._with({d: read(X, e) for d, (X, e) in out.items()})
+        # each new key is decoded once; sorted rows list b in term order
+        rows.append(sorted(
+            (k, _dim(k, nvars, radix), X * Xs, e + es)
+            for k, (X, e) in acc.items()
+            if X
+        ))
+    return a._with({d: read(X, e) for row in rows for _, d, X, e in row})
 
 
 def qinv(a):
@@ -786,9 +862,11 @@ def qinv(a):
 
 
 def _check_commuting(series):
+    if not _twisted(series.twist):
+        return
     supp = [d for d in series.support() if any(d)]
     for d1, d2 in combinations(supp, 2):
-        if _dot(d1, _twist_vec(series.twist, d2)):
+        if sum(map(mul, _twist_vec(series.twist, d1), d2)):
             raise NonCommutingSupport(
                 "support vectors %r and %r do not twist-commute" % (d1, d2)
             )
@@ -810,18 +888,21 @@ def _mobius(k):
 
 
 def _adams_sum(series, weight, adams):
-    """sum over k >= 1 of weight(k) psi_k(series), where psi_k sends c x^d to
-    c.adams(k) x^{kd}; terms beyond the bound are dropped."""
-    terms = {}
-    for k in range(1, series.bound + 1):
-        w = weight(k)
-        if not w:
-            continue
-        for d, c in series.terms.items():
-            if k * sum(d) <= series.bound:
-                kd = tuple(k * x for x in d)
-                terms[kd] = terms.get(kd, VRational.zero()) + w * c.adams(k, adams)
-    return series._with(terms)
+    """sum over k >= 1 of weight(k) psi_k(series) for int weights, where
+    psi_k sends c x^d to c.adams(k) x^{kd}, of key k key(d); terms beyond
+    the bound are dropped."""
+    radix = series.bound + 1
+    coeffs = {}
+    for d, c in series.terms.items():
+        key, size = _dim_key(d, radix), sum(d)
+        for k in range(1, series.bound + 1):
+            if k * size > series.bound:
+                break
+            w = weight(k)
+            if w:
+                kk = k * key
+                coeffs[kk] = coeffs.get(kk, VRational.zero()) + c.adams(k, adams) * w
+    return _keyed(series.bound, series.twist, coeffs)
 
 
 def _grade(series):
@@ -835,9 +916,9 @@ def exp_pleth(f, adams="v"):
     if f.coeff((0,) * f.nvars):
         raise NonzeroConstantTerm("Exp needs a zero constant term")
     _check_commuting(f)
-    s = _adams_sum(f, lambda k: VRational.fraction({0: 1}, {0: k}), adams)
+    # D s = sum_k psi_k(D f); see the module docstring
     return _solve(
-        _grade(s),
+        _adams_sum(_grade(f), lambda k: 1, adams),
         _PLAIN,
         (VRational.one(), 0),
         lambda n: (VRational.fraction({0: 1}, {0: n}), 0),
@@ -850,11 +931,9 @@ def log_pleth(F, adams="v"):
     if F.coeff((0,) * F.nvars) != VRational.one():
         raise NonzeroConstantTerm("Log needs constant term 1")
     _check_commuting(F)
-    dlog = qmul(qinv(F), _grade(F))
-    logF = F._with({d: c / sum(d) for d, c in dlog.terms.items()})
-    return _adams_sum(
-        logF, lambda k: VRational.fraction({0: _mobius(k)}, {0: k}), adams
-    )
+    # |d| (Log F)_d = sum over k | d of mu(k) psi_k(F^-1 D F)_{d/k}
+    s = _adams_sum(qmul(qinv(F), _grade(F)), _mobius, adams)
+    return s._with({d: c / sum(d) for d, c in s.terms.items()})
 
 
 def apply_symmetry(obj, which, node=None):

@@ -442,6 +442,26 @@ class TestIntegerArguments:
         with pytest.raises(ValidationError, match="^framing_d4: corner must be an int"):
             framing_d4(q, d, corner)
 
+    @pytest.mark.parametrize("node", [True, 1.0, 3])
+    def test_framing_d6_node(self, node):
+        # conifold's nodes are 1 and 2, and True == 1.0 == 1
+        q, _, _ = setting("conifold")
+        with pytest.raises(ValidationError, match="^framing_d6: node") as err:
+            framing_d6(q, node)
+        assert err.value.exit_code == 1
+        assert repr(node) in str(err.value)
+
+    @pytest.mark.parametrize("max_atoms", [-1, 2.5, "3", True])
+    def test_enumerate_crystals_max_atoms(self, max_atoms):
+        q, grading, _ = setting("conifold")
+        erc = build_erc(q, grading, framing_d6(q, 1), 3)
+        with pytest.raises(
+            ValidationError, match="^enumerate_crystals: max_atoms"
+        ) as err:
+            enumerate_crystals(erc, max_atoms)
+        assert err.value.exit_code == 1
+        assert repr(max_atoms) in str(err.value)
+
     @pytest.mark.parametrize(
         "s, sp",
         [((1, 0, 5), (0, 1)), ("ab", (0, 1)), ((1.0, 0), (0, 1)), ((1, 0), (0, 1.5))],

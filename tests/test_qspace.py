@@ -8,6 +8,7 @@ and the discriminating plethystic exponentials for both Adams conventions.
 from __future__ import annotations
 
 import json
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from moltendt.qspace import (
     series_from_json,
     series_to_json,
 )
+from moltendt.qspace import _dim, _dim_key, _keyed, _sorted_terms
 
 ONE = VRational.one()
 V = VRational.vpow(1)
@@ -619,6 +621,17 @@ class TestPackedPath:
         u = a - a.constant_part() + QSeries.unit(3, TWISTED).scale(c0)
         assert qinv(u) == neumann_inverse(u)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_big_series(FLAT), _big_series(FLAT))
+    def test_flat_qmul_matches_reference(self, a, b):
+        assert qmul(a, b) == qmul_reference(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_big_series(FLAT), unit_monomials)
+    def test_flat_qinv_matches_neumann_series(self, a, c0):
+        u = a - a.constant_part() + QSeries.unit(3, FLAT).scale(c0)
+        assert qinv(u) == neumann_inverse(u)
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.one_of(_big_series(FLAT, bound=4), big_rays), st.sampled_from(["v", "-v"])
@@ -699,6 +712,18 @@ class TestPlainPath:
         u = a - a.constant_part() + QSeries.unit(3, TWISTED).scale(c0)
         assert qinv(u) == neumann_inverse(u)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_plain_series(FLAT), st.one_of(_series(FLAT), _plain_series(FLAT)))
+    def test_flat_qmul_matches_reference(self, a, b):
+        assert qmul(a, b) == qmul_reference(a, b)
+        assert qmul(b, a) == qmul_reference(b, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plain_series(FLAT), units)
+    def test_flat_qinv_matches_neumann_series(self, a, c0):
+        u = a - a.constant_part() + QSeries.unit(3, FLAT).scale(c0)
+        assert qinv(u) == neumann_inverse(u)
+
     def test_terms_with_different_shifts_meet(self):
         # x0 x1 = v^-1 x^(1,1) and x1 x0 = v x^(1,1), so both (x0 + x1)^2 / 4
         # and the degree-2 part of 1 / (1 + (x0 + x1) / 2) sum a v^-1 term
@@ -721,3 +746,89 @@ class TestPlainPath:
                 (0, 2): quarter,
             },
         )
+
+
+# The dimension key of the kernels, over 1 to 5 nodes.
+
+
+@st.composite
+def vectors(draw):
+    """(nodes, bound, distinct dimension vectors of total degree <= bound)."""
+    n, bound = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+
+    def vector():
+        d, left = [], bound
+        for _ in range(n):
+            d.append(draw(st.integers(0, left)))
+            left -= d[-1]
+        return tuple(draw(st.permutations(d)))
+
+    ds = list(dict.fromkeys(vector() for _ in range(draw(st.integers(1, 8)))))
+    return n, bound, ds
+
+
+class TestDimensionKey:
+    @settings(max_examples=100, deadline=None)
+    @given(vectors())
+    def test_additive_and_round_trips(self, case):
+        n, bound, ds = case
+        radix = bound + 1
+        keys = {d: _dim_key(d, radix) for d in ds}
+        for d, k in keys.items():
+            assert _dim(k, n, radix) == d
+            for m in range(2, bound + 1):
+                if m * sum(d) <= bound:
+                    assert _dim_key(tuple(m * x for x in d), radix) == m * k
+            for d2, k2 in keys.items():
+                if sum(d) + sum(d2) <= bound:
+                    assert _dim_key(tuple(map(add, d, d2)), radix) == k + k2
+
+    @settings(max_examples=100, deadline=None)
+    @given(vectors())
+    def test_key_order_is_term_order(self, case):
+        n, bound, ds = case
+        radix = bound + 1
+        flat = ((0,) * n,) * n
+        coeffs = {d: lau({len(ds) - i: i + 1}) for i, d in enumerate(ds)}
+        series = _keyed(bound, flat, {_dim_key(d, radix): c for d, c in coeffs.items()})
+        assert list(series.terms) == list(_sorted_terms(coeffs))
+        assert series == QSeries(bound, flat, coeffs)
+
+
+# VRational's int shortcuts against the polynomial gcd: a common factor
+# 1 + v keeps the denominator from being a monomial, so the general
+# reduction runs.
+
+
+def _times_one_plus_v(p):
+    out = {}
+    for e, c in p.items():
+        for f in (e, e + 1):
+            out[f] = out.get(f, 0) + c
+    return out
+
+
+polys = st.dictionaries(st.integers(-4, 4), st.integers(-12, 12), max_size=3).filter(
+    lambda p: any(p.values())
+)
+monomials = st.builds(
+    lambda e, c: {e: c}, st.integers(-4, 4), st.integers(-12, 12).filter(bool)
+)
+
+
+class TestIntShortcuts:
+    @settings(max_examples=100, deadline=None)
+    @given(polys, st.one_of(polys, monomials), st.integers(-12, 12))
+    def test_scale_by_int(self, num, den, n):
+        c = VRational.fraction(num, den)
+        want = VRational.fraction(
+            _times_one_plus_v({e: n * x for e, x in num.items()}),
+            _times_one_plus_v(den),
+        )
+        assert c * n == n * c == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys, monomials)
+    def test_monomial_denominator(self, num, den):
+        want = VRational.fraction(_times_one_plus_v(num), _times_one_plus_v(den))
+        assert VRational.fraction(num, den) == want
