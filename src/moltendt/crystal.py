@@ -187,7 +187,7 @@ def build_erc(
     steps: dict = {}
     for a in q.arrows:
         if a.id in framing.allowed:
-            w = sum(a.id in cut.arrows for cut in q.cuts)
+            w = q.cut_weight[a.id]
             if not w:
                 raise ValidationError(
                     f"build_erc: arrow {a.id!r} lies in no cut,"

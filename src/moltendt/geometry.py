@@ -241,6 +241,16 @@ class PeriodicQuiver:
 
         return tuple(matchings.perfect_matchings(self))
 
+    @functools.cached_property
+    def cut_weight(self) -> dict[str, int]:
+        """Arrow id -> the number of cuts that hold the arrow."""
+
+        weight = dict.fromkeys(self.arrow_by_id, 0)
+        for cut in self.cuts:
+            for aid in cut.arrows:
+                weight[aid] += 1
+        return weight
+
     def to_json_dict(self) -> dict:
         return {
             "nodes": list(self.nodes),

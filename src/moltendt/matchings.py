@@ -96,16 +96,32 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     """All cuts with their diagram points, canonically sorted by point and
     then by sorted arrow ids.
 
-    A depth-first search matches the positive terms one by one, in a sweep
-    order that next takes the term sharing the most negative terms
-    (columns) with the terms already taken.  A state is the set of used
-    columns as a bit mask, with the running point carried alongside.  It
-    is dropped when a free column lies out of reach of every remaining
-    term, or when it is known to be dead (to have no completion).  Only
-    dead states are remembered, as bare masks.  Remembering the cut list
-    below each live state as well would visit every state once, but it
-    keeps all those lists until the search ends: on C^3/Z_5 x Z_5 (7,623
-    cuts) that at least doubles the peak memory of the enumeration.
+    The positive terms are matched one by one, in a sweep order that next
+    takes the term sharing the most negative terms (columns) with the
+    terms already taken.  A state is the set of used columns as a bit
+    mask; its bit count is its depth.  A state is dropped when a free
+    column lies out of reach of every remaining term.
+
+    The search splits at depth h = min(n, n // 2 + 1) of the n terms.
+    Above h it runs depth first, carrying the running point and sort key,
+    and remembers only dead states (those with no completion), as bare
+    masks.  From h on it reads a table that holds, once per mask, every
+    completion as (sort-key bits, point offset, frozenset of its arrows);
+    a cut is its prefix's arrow set joined to a completion by one union.
+    Many prefixes share few masks near the end: on C^3/Z_5 x Z_5 the
+    plain depth-first search made 80,166 calls for 7,623 cuts, 6,636 to
+    7,626 at each of the depths 19 to 24, where at most 25 masks exist at
+    depth 24.  h near n / 2 measured at or near the fastest split, on
+    C^3/Z_5 x Z_5 (h = 13 of 25) and on C^3/Z_6 x Z_6 (h = 19 of 36).
+
+    The table stays small beside the cuts it yields: 4,494 masks and
+    4,024 completions on C^3/Z_5 x Z_5, 28,904 and 40,967 on
+    C^3/Z_6 x Z_6 (263,640 cuts).  The peak traced memory of one call was
+    14.6 MiB on C^3/Z_5 x Z_5, of which the returned cuts hold 10.2 MiB,
+    and 425 MiB on C^3/Z_6 x Z_6, of which the cuts hold 350 MiB.  A union
+    of two frozensets sizes its hash table for the pair, so each cut's
+    set is about half the size of one grown from a list: the plain search
+    returned the same cuts in 17.7 MiB and 608 MiB.
 
     NoCutError names the cause: unequal positive and negative term counts,
     a term whose every arrow repeats inside one of its terms, or no
@@ -157,32 +173,59 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     for d in range(n - 1, -1, -1):
         out_of_reach[d] = out_of_reach[d + 1] & ~reach[order[d]]
     sweep = [options[t] for t in order]
+    split = min(n, n // 2 + 1)
+    # tails[m]: the completions of a used-column mask m of depth at least
+    # split, as (key bits, x, y, arrows); the full mask has one, the empty one
+    tails: dict[int, list] = {(1 << n) - 1: [(0, 0, 0, frozenset())]}
+
+    def tail(mask: int) -> list:
+        out = tails.get(mask)
+        if out is not None:
+            return out
+        out = tails[mask] = []
+        depth = mask.bit_count()
+        unreached = out_of_reach[depth + 1]
+        for bit, w, aid, dx, dy in sweep[depth]:
+            m = mask | bit
+            if m == mask or unreached & ~m:
+                continue
+            one = (aid,)
+            out += [(k | w, x + dx, y + dy, arrows.union(one)) for k, x, y, arrows in tail(m)]
+        return out
+
     found: list = []
-    chosen = [""] * n
-    dead: set[int] = set()  # the depth of a mask is its bit count
+    chosen = [""] * split
+    dead: set[int] = set()  # masks above split with no completion
 
     def grow(depth: int, mask: int, key: int, x: int, y: int) -> bool:
         alive = False
-        out = out_of_reach[depth + 1]
+        unreached = out_of_reach[depth + 1]
         for bit, w, aid, dx, dy in sweep[depth]:
             m = mask | bit
-            if m == mask or out & ~m or m in dead:
+            if m == mask or unreached & ~m or m in dead:
                 continue
             chosen[depth] = aid
-            if depth + 1 == n:
-                found.append((x + dx, y + dy, -(key | w), frozenset(chosen)))
+            if depth + 1 < split:
+                if grow(depth + 1, m, key | w, x + dx, y + dy):
+                    alive = True
+                else:
+                    dead.add(m)
+                continue
+            rest = tail(m)
+            if rest:
+                head, k0, x0, y0 = frozenset(chosen), key | w, x + dx, y + dy
+                found.extend([
+                    (x0 + x1, y0 + y1, -(k0 | k1), head | arrows)
+                    for k1, x1, y1, arrows in rest
+                ])
                 alive = True
-            elif grow(depth + 1, m, key | w, x + dx, y + dy):
-                alive = True
-            else:
-                dead.add(m)
         return alive
 
     alive = grow(0, 0, 0, 0, 0)
-    # grow holds itself through its closure; dropping the name frees it, and
-    # with it dead and the search's references, now rather than at the next
-    # cycle collection
-    del grow
+    # Each closure holds itself through its cell; dropping both names frees
+    # them, and with them the tables and the search's references, now
+    # rather than at the next cycle collection.
+    del grow, tail
     if not alive:
         raise NoCutError(
             "perfect_matchings: no perfect matching exists; the usable arrows"

@@ -19,7 +19,8 @@ from moltendt.crystal import (
     parse_framing,
 )
 from moltendt.errors import BoundTooSmall, InvalidSeedArrow, ValidationError
-from moltendt.geometry import builtin_names, load_geometry, reference_grading
+from bench.workloads import orbifold_quiver
+from moltendt.geometry import _parse_quiver as quiver, builtin_names, load_geometry, reference_grading
 from moltendt.matchings import toric_diagram
 
 
@@ -140,6 +141,37 @@ class TestErc:
                     if abs(t[0]) <= 2 and abs(t[1]) <= 2
                 }
                 assert window and window <= slices[n + 1]
+
+    @pytest.mark.parametrize("source", builtin_names() + (3,))
+    def test_cut_weight_counts_cuts(self, source):
+        # an int source n stands for the orbifold C^3 / Z_n x Z_n
+        if isinstance(source, int):
+            q = quiver(orbifold_quiver(source))
+        else:
+            q = load_geometry(source)
+        assert q.cut_weight == {
+            a.id: sum(a.id in cut.arrows for cut in q.cuts) for a in q.arrows
+        }
+
+    def test_arrow_in_no_cut_is_rejected(self):
+        # r repeats inside its positive term, so no cut holds it
+        q = quiver({
+            "nodes": [0],
+            "arrows": [
+                {"id": aid, "src": 0, "tgt": 0, "disp": d}
+                for aid, d in [("a", [1, 0]), ("b", [-1, 0]), ("c", [0, 1]),
+                               ("d", [0, -1]), ("r", [0, 0])]
+            ],
+            "potential": [
+                {"sign": 1, "cycle": ["a", "b", "r", "r"]},
+                {"sign": 1, "cycle": ["c", "d"]},
+                {"sign": -1, "cycle": ["r", "c", "d"]},
+                {"sign": -1, "cycle": ["a", "b"]},
+            ],
+        })
+        assert q.cut_weight == {"a": 2, "b": 2, "c": 2, "d": 2, "r": 0}
+        with pytest.raises(ValidationError, match="arrow 'r' lies in no cut"):
+            build_erc(q, reference_grading(q), framing_d6(q, 0), 3)
 
 
 def check_whole_predecessors(q, fr, b):

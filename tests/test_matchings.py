@@ -11,6 +11,7 @@ code shows up here.
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -107,6 +108,12 @@ def loops(disps, potential):
     })
 
 
+def load(source):
+    """A builtin by name, or for an int n the orbifold C^3 / Z_n x Z_n."""
+
+    return quiver(orbifold_quiver(source)) if isinstance(source, int) else load_geometry(source)
+
+
 def analyze(name):
     q = load_geometry(name)
     diagram = toric_diagram(q)
@@ -143,18 +150,21 @@ class TestCuts:
         q = load_geometry(name)
         assert {c.arrows for c in perfect_matchings(q)} == brute_cuts(q)
 
-    @pytest.mark.parametrize("source", builtin_names() + (2, 3, 4))
+    @pytest.mark.parametrize("source", builtin_names() + (2, 3, 4, 5))
     def test_against_exact_cover_search(self, source):
-        # an int source n stands for the orbifold C^3 / Z_n x Z_n
-        q = quiver(orbifold_quiver(source)) if isinstance(source, int) else load_geometry(source)
+        # C^3 / Z_5 x Z_5 is the one size here whose search reads many
+        # completions from its table more than once
+        q = load(source)
         expected = exact_cover_cuts(q)
         assert [(c.arrows, c.point) for c in perfect_matchings(q)] == expected
-        assert len(expected) == {2: 9, 3: 42, 4: 417}.get(source, len(expected))
+        assert len(expected) == {2: 9, 3: 42, 4: 417, 5: 7623}.get(source, len(expected))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(builtin_names()), st.data())
+    @given(st.sampled_from(builtin_names() + (3, 4)), st.data())
     def test_arrow_and_term_order_do_not_matter(self, name, data):
-        q = load_geometry(name)
+        # term order changes the sweep, and with it which masks share a
+        # table entry
+        q = load(name)
         obj = q.to_json_dict()
         obj["arrows"] = data.draw(st.permutations(obj["arrows"]))
         obj["potential"] = data.draw(st.permutations(obj["potential"]))
@@ -165,6 +175,17 @@ class TestCuts:
         assert [(c.arrows, c.point) for c in got] == [
             (c.arrows, c.point) for c in perfect_matchings(q)
         ]
+
+    @pytest.mark.parametrize("source", ["c3", "pdp3a", 4])
+    def test_search_leaves_no_cycle_behind(self, source):
+        q = load(source)
+        gc.collect()
+        gc.disable()
+        try:
+            perfect_matchings(q)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_enumeration_is_deterministic(self):
         q = load_geometry("pdp3a")
