@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -245,11 +247,8 @@ class PeriodicQuiver:
     def cut_weight(self) -> dict[str, int]:
         """Arrow id -> the number of cuts that hold the arrow."""
 
-        weight = dict.fromkeys(self.arrow_by_id, 0)
-        for cut in self.cuts:
-            for aid in cut.arrows:
-                weight[aid] += 1
-        return weight
+        count = Counter(chain.from_iterable(cut.arrows for cut in self.cuts))
+        return {aid: count[aid] for aid in self.arrow_by_id}
 
     def to_json_dict(self) -> dict:
         return {

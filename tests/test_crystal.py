@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from bench.workloads import orbifold_quiver
 from moltendt.crystal import (
     Crystal,
     build_erc,
@@ -19,7 +20,6 @@ from moltendt.crystal import (
     parse_framing,
 )
 from moltendt.errors import BoundTooSmall, InvalidSeedArrow, ValidationError
-from bench.workloads import orbifold_quiver
 from moltendt.geometry import _parse_quiver as quiver, builtin_names, load_geometry, reference_grading
 from moltendt.matchings import toric_diagram
 
@@ -145,10 +145,7 @@ class TestErc:
     @pytest.mark.parametrize("source", builtin_names() + (3,))
     def test_cut_weight_counts_cuts(self, source):
         # an int source n stands for the orbifold C^3 / Z_n x Z_n
-        if isinstance(source, int):
-            q = quiver(orbifold_quiver(source))
-        else:
-            q = load_geometry(source)
+        q = quiver(orbifold_quiver(source)) if isinstance(source, int) else load_geometry(source)
         assert q.cut_weight == {
             a.id: sum(a.id in cut.arrows for cut in q.cuts) for a in q.arrows
         }
