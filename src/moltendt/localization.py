@@ -13,8 +13,10 @@ crystal once and updates the index by the weight pairs each new atom adds.
 The gauge weights cancel in pairs, a - b against b - a, so only the arrow
 weights reach the index.  Each candidate atom carries its index change
 down the walk, gaining one memoised pair term per atom added; its pairs
-with the framing node are a per-atom constant, only atoms that become
-addable are counted by bisection, and the last level is counted in its
+with the framing node are a per-atom constant.  An atom that becomes
+addable sums its memoised pairs with the atoms of the current crystal,
+which the walk keeps as one stack: the pair term is symmetric in its two
+atoms, so one memo serves both counts.  The last level is counted in its
 parent's loop.  ``enumerate_crystals`` and ``index`` remain as the
 reference path that the walk is tested against.
 
@@ -25,7 +27,6 @@ kappa component of every weight is zero throughout.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -298,9 +299,13 @@ def framed_partition_function(
     Deltas are carried down the walk: a candidate y that passes from S to
     S + x gains pair(x, y), one lookup.  pair(x, y) depends on the two atoms
     only, so it is computed once per call, when first needed.  Only an atom
-    that x makes addable is counted from scratch: each colour keeps its
-    atoms' keys sorted, and two bisections count the pairs of each sign
-    along one arrow.
+    that x makes addable is counted from scratch, as fixed(y) plus its
+    pairs with the atoms held, a stack the walk pushes x onto on the way
+    down and pops on the way back.  Those pairs come from y's own row of
+    the memo, because pair is symmetric: with w = key(y) - key(x), pair(x,
+    y) sums sgn(w - kd) over the arrows from x's colour to y's and
+    sgn(-w - kd) over the arrows back, and swapping x and y sends w to -w
+    and swaps the two arrow lists.
 
     A crystal is counted as soon as its atom is chosen, under the one int
     span * key(d) + index, key(d) the dimension key of the ``qspace``
@@ -339,9 +344,6 @@ def framed_partition_function(
         _dim_key([int(i == c) for i in range(n)], radix) * span for c in range(n)
     ]
     between = [[[] for _ in range(n)] for _ in range(n)]
-    present = [[] for _ in range(n)]
-    into = [[] for _ in range(n)]
-    out = [[] for _ in range(n)]
     framed = []
     for src, tgt, (dx, dy) in arrows:
         kd = (sx * dx + sy * dy) * m + tx * dx + ty * dy
@@ -352,8 +354,6 @@ def framed_partition_function(
         else:
             cs, ct = color[src], color[tgt]
             between[cs][ct].append(kd)
-            into[ct].append((present[cs], kd))
-            out[cs].append((present[ct], kd))
             if cs == ct:
                 fixed[cs] += (kd < 0) - (kd > 0)
 
@@ -391,20 +391,15 @@ def framed_partition_function(
             p += (kd < -w) - (kd > -w)
         return p
 
-    def fresh(y):
-        # the step of a newly addable atom, counted against the present
-        c, ky = col[y], keys[y]
-        step = base[y]
-        for p, kd in into[c]:
-            v = ky - kd
-            step += bisect_left(p, v) + bisect_right(p, v) - len(p)
-        for p, kd in out[c]:
-            v = ky + kd
-            step -= bisect_left(p, v) + bisect_right(p, v) - len(p)
-        return step
-
-    # pairs[x][y] is pair(x, y)
+    # pairs[x][y] is pair(x, y), which is also pair(y, x)
     pairs = _Memo(lambda x: _Memo(partial(pair, x)))
+    # the atoms of the current crystal, in the order they were added
+    held = []
+
+    def fresh(y):
+        # the step of a newly addable atom, counted against the held atoms
+        return base[y] + sum(map(pairs[y].__getitem__, held))
+
     counts = defaultdict(int)
 
     def grow(cands, steps, key, size):
@@ -427,10 +422,8 @@ def framed_partition_function(
                 for y, step in zip(rest, steps[i + 1 :]):
                     counts[k + step + row[y]] += 1
             if new or not fused:
-                # x joins its colour's keys while the new atoms are counted
-                here = present[col[x]]
-                at = bisect_right(here, keys[x])
-                here.insert(at, keys[x])
+                # x is held while the new atoms are counted
+                held.append(x)
                 if fused:
                     for y in new:
                         counts[k + fresh(y)] += 1
@@ -438,7 +431,7 @@ def framed_partition_function(
                     after = [step + row[y] for y, step in zip(rest, steps[i + 1 :])]
                     after += map(fresh, new)
                     grow(rest + new, after, k, size + 1)
-                del here[at]
+                held.pop()
             for y in ss:
                 missing[y] += 1
 

@@ -12,6 +12,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bench.workloads import orbifold_quiver
 from moltendt.crystal import build_erc, enumerate_crystals, framing_d4, framing_d6
 from moltendt.errors import (
     InconsistentPoset,
@@ -23,6 +24,7 @@ from moltendt.geometry import (
     Arrow,
     PeriodicQuiver,
     ReferenceGrading,
+    _parse_quiver,
     builtin_names,
     euler_form,
     load_geometry,
@@ -342,6 +344,32 @@ class TestWalkMatchesReference:
                     got = framed_partition_function(q, grading, fr, slope, bound)
                     want = reference_z(q, grading, fr, slope, crystals, bound)
                     assert series_to_json(got) == series_to_json(want)
+
+    def test_c3_deep_matches_census(self):
+        # at bound 10 the walk holds up to nine atoms while it counts a
+        # newly addable one, each paired with every held atom
+        q, grading, d = setting("c3")
+        fr, s = framing_d6(q, 0), make_slope(d, corner=0)
+        crystals = reference_crystals(q, grading, fr, 10)
+        assert max(len(c.atoms) for c in crystals) == 10
+        for slope in (s, s.negated()):
+            got = framed_partition_function(q, grading, fr, slope, 10)
+            want = reference_z(q, grading, fr, slope, crystals, 10)
+            assert series_to_json(got) == series_to_json(want)
+
+    def test_orbifold_matches_census(self):
+        # C3 / Z3 x Z3: nine colours, so most pairs the walk sums join atoms
+        # of two colours, by arrows one way or by none
+        q = _parse_quiver(orbifold_quiver(3))
+        grading, d = reference_grading(q), toric_diagram(q)
+        assert len(q.nodes) == 9
+        for fr in framings(q, d):
+            s = make_slope(d, corner=0 if fr.kind == "d6" else fr.corner)
+            crystals = reference_crystals(q, grading, fr, 5)
+            for slope in (s, s.negated()):
+                got = framed_partition_function(q, grading, fr, slope, 5)
+                want = reference_z(q, grading, fr, slope, crystals, 5)
+                assert series_to_json(got) == series_to_json(want)
 
     def test_c3_deep_counts_plane_partitions(self):
         # at v = 1, Z of C3 framed at its node counts plane partitions:
