@@ -20,7 +20,11 @@ weight.  Those atoms form a down-set with whole predecessor lists, and
 listing them by grade lists every predecessor first.
 
 Atoms are plain tuples (node, (tx, ty), n), ordered canonically by node
-position, translation, then depth.
+position, translation, then depth.  The sweep also numbers the atoms in the
+order it first reaches them and keeps each atom's color, grade, successor
+numbers and predecessor count in lists indexed by that number, the one
+table of the atom poset: the crystal walk reads the lists, the reference
+path reads views of them keyed by atom.
 """
 
 from __future__ import annotations
@@ -138,29 +142,48 @@ def _node_token(q: PeriodicQuiver, token: str):
 class EmptyRoomConfig:
     """Atoms that a crystal of at most ``max_atoms`` atoms can hold.
 
-    A holder for what ``build_erc`` sweeps: each atom's grade and its
-    successor and predecessor lists, restricted to the built atom set.
+    ``build_erc`` numbers the atoms in the order its sweep first reaches
+    them, the root 0, and keeps what it learns of each atom in plain lists
+    indexed by that number: ``by_number`` the atom, ``colors`` the position
+    of its node, ``grades`` its grade, ``succ`` the numbers of its
+    successors in arrow order and ``npreds`` how many arrows reach it.
+    ``number`` maps an atom back to its number.  The walk reads only these
+    lists.  The accessors that take an atom (``atoms``, ``grade``,
+    ``successors``, ``predecessors``, ``sort_key``) are views of the same
+    lists for the reference path.
     """
 
-    def __init__(self, q, max_atoms, root, grades, succs, preds):
+    def __init__(self, q, max_atoms, by_number, number, colors, grades, succ, npreds):
         self.q = q
         self.max_atoms = max_atoms
-        self.root = root
-        self._grades = grades
-        self._succs = succs
-        self._preds = preds
+        self.root = by_number[0]
+        self.by_number = by_number
+        self.number = number
+        self.colors = colors
+        self.grades = grades
+        self.succ = succ
+        self.npreds = npreds
+        self._preds = None
 
     def atoms(self):
-        return sorted(self._grades, key=lambda a: (self._grades[a], self.sort_key(a)))
+        return sorted(self.by_number, key=lambda a: (self.grade(a), self.sort_key(a)))
 
     def grade(self, atom) -> int:
-        return self._grades[atom]
+        return self.grades[self.number[atom]]
 
     def successors(self, atom):
-        return self._succs[atom]
+        return tuple(self.by_number[j] for j in self.succ[self.number[atom]])
 
     def predecessors(self, atom):
-        return self._preds[atom]
+        if self._preds is None:
+            # the sweep visits the atoms by grade, within a grade by number,
+            # and lists each atom's predecessors in the order it visits them
+            preds = [[] for _ in self.by_number]
+            for i in sorted(range(len(preds)), key=self.grades.__getitem__):
+                for j in self.succ[i]:
+                    preds[j].append(self.by_number[i])
+            self._preds = list(map(tuple, preds))
+        return self._preds[self.number[atom]]
 
     def sort_key(self, atom):
         return self.q.node_index[atom[0]], atom[1], atom[2]
@@ -176,15 +199,17 @@ def build_erc(
 
     These are all the atoms a crystal of at most ``max_atoms`` atoms can
     hold, each with its whole predecessor list (see the module docstring).
-    The sweep takes the grades in rising order.  An atom reached at two
-    grades raises ``InconsistentPoset``; an allowed arrow in no cut raises
+    The sweep takes the grades in rising order and numbers an atom when it
+    first reaches it.  An atom reached at two grades raises
+    ``InconsistentPoset``; an allowed arrow in no cut raises
     ``ValidationError``, since the grade would not rise along it, and so
     does a ``max_atoms`` that is not a nonnegative int.
     """
 
     if _check_int(max_atoms, "build_erc: max_atoms") < 0:
         raise ValidationError(f"build_erc: max_atoms must be nonnegative, got {max_atoms}")
-    steps: dict = {}
+    pos = q.node_index
+    steps = [[] for _ in q.nodes]
     for a in q.arrows:
         if a.id in framing.allowed:
             w = q.cut_weight[a.id]
@@ -193,33 +218,38 @@ def build_erc(
                     f"build_erc: arrow {a.id!r} lies in no cut,"
                     " so it cannot raise the atom grade"
                 )
-            steps.setdefault(a.src, []).append((a.tgt, a.disp, grading.count[a.id], w))
-    top = max((w for ss in steps.values() for *_, w in ss), default=0) * (max_atoms - 1)
+            dx, dy = a.disp
+            steps[pos[a.src]].append((a.tgt, pos[a.tgt], dx, dy, grading.count[a.id], w))
+    top = max((s[-1] for ss in steps for s in ss), default=0) * (max_atoms - 1)
     root = (framing.node, (0, 0), 0)
-    grades = {root: 0}
-    succs: dict = {}
-    preds: dict = {root: []}
-    layers = [[root]] + [[] for _ in range(top)]
+    by_number, number = [root], {root: 0}
+    colors, grades, succ, npreds = [pos[framing.node]], [0], [()], [0]
+    layers = [[0]] + [[] for _ in range(top)]
     for g, layer in enumerate(layers):
-        for atom in layer:
-            node, (tx, ty), n = atom
+        for i in layer:
+            _, (tx, ty), n = by_number[i]
             out = []
-            for tgt, (dx, dy), m, w in steps.get(node, ()):
+            for tgt, c, dx, dy, m, w in steps[colors[i]]:
                 nxt = (tgt, (tx + dx, ty + dy), n + m)
-                if nxt not in grades:
+                j = number.get(nxt)
+                if j is None:
                     if g + w > top:
                         continue
-                    grades[nxt] = g + w
-                    layers[g + w].append(nxt)
-                elif grades[nxt] != g + w:
+                    j = number[nxt] = len(by_number)
+                    by_number.append(nxt)
+                    colors.append(c)
+                    grades.append(g + w)
+                    succ.append(())
+                    npreds.append(0)
+                    layers[g + w].append(j)
+                elif grades[j] != g + w:
                     raise InconsistentPoset(
-                        f"build_erc: atom {nxt!r} at grades {grades[nxt]} and {g + w}"
+                        f"build_erc: atom {nxt!r} at grades {grades[j]} and {g + w}"
                     )
-                out.append(nxt)
-                preds.setdefault(nxt, []).append(atom)
-            succs[atom] = tuple(out)
-    preds = {atom: tuple(ps) for atom, ps in preds.items()}
-    return EmptyRoomConfig(q, max_atoms, root, grades, succs, preds)
+                out.append(j)
+                npreds[j] += 1
+            succ[i] = tuple(out)
+    return EmptyRoomConfig(q, max_atoms, by_number, number, colors, grades, succ, npreds)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ def _vec(obj, what: str) -> Vec:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(c, int) for c in obj)
+        or not all(type(c) is int for c in obj)
     ):
         raise ParseError(f"{what} must be a pair of integers, got {obj!r}")
     return (obj[0], obj[1])
@@ -164,7 +164,8 @@ class PeriodicQuiver:
                 raise ValidationError(f"arrow {a.id!r} endpoint is not a node")
         membership: dict[str, list[int]] = {i: [0, 0] for i in ids}
         for sign, cycle in potential:
-            if sign not in (1, -1):
+            # True == 1, so the type is checked first
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValidationError(f"potential sign {sign!r} is not +1 or -1")
             if not cycle:
                 raise ValidationError("empty potential cycle")

@@ -10,15 +10,18 @@ crystals, graded by dimension vector in the quantum affine space.
 ``framed_partition_function`` does not build crystals or call
 ``Slope.sign``: one depth-first walk over the atom poset reaches every
 crystal once and updates the index by the weight pairs each new atom adds.
-The gauge weights cancel in pairs, a - b against b - a, so only the arrow
-weights reach the index.  Each candidate atom carries its index change
-down the walk, gaining one memoised pair term per atom added; its pairs
-with the framing node are a per-atom constant.  An atom that becomes
-addable sums its memoised pairs with the atoms of the current crystal,
-which the walk keeps as one stack: the pair term is symmetric in its two
-atoms, so one memo serves both counts.  The last level is counted in its
-parent's loop.  ``enumerate_crystals`` and ``index`` remain as the
-reference path that the walk is tested against.
+It reads the atoms as the numbers ``build_erc`` gave them, and their
+successors and predecessor counts from its lists.  The gauge weights
+cancel in pairs, a - b against b - a, so only the arrow weights reach the
+index.  Each candidate atom carries its index change down the walk,
+gaining one memoised pair term per atom added; its pairs with the framing
+node are a per-atom constant.  An atom that becomes addable sums its
+memoised pairs with the atoms of the current crystal, which the walk keeps
+as one stack: the pair term is symmetric in its two atoms, so one memo, a
+row per atom, serves both counts.  The last level is counted in its
+parent's loop.  The counts are read back in one pass over their sorted
+keys, which lists Z's terms in order.  ``enumerate_crystals`` and
+``index`` remain as the reference path that the walk is tested against.
 
 Weights here live in the displacement plane: the reference-cut depth is
 invisible to the acting torus because it preserves the potential, so the
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from math import isqrt
 
 from .crystal import Crystal, Framing, build_erc
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .geometry import PeriodicQuiver, ReferenceGrading, euler_form
 from .matchings import ToricDiagramData
-from .qspace import QSeries, VRational, _dim_key, _keyed
+from .qspace import QSeries, VRational, _dim, _dim_key, _series
 
 Vec = tuple
 
@@ -254,18 +256,29 @@ def index(
     )
 
 
-class _Memo(dict):
-    """A dict that fills a missing key k with fill(k) on first lookup."""
+class _Row(dict):
+    """pair(x, y) for one atom x, by the number of y, each computed on its
+    first lookup: what x, once present, adds to the index change of y."""
 
-    __slots__ = ("fill",)
+    __slots__ = ("key", "out", "back", "keys", "colors")
 
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
+    def __init__(self, key, out, back, keys, colors):
+        self.key = key
+        self.out = out
+        self.back = back
+        self.keys = keys
+        self.colors = colors
 
-    def __missing__(self, k):
-        v = self[k] = self.fill(k)
-        return v
+    def __missing__(self, y):
+        w = self.keys[y] - self.key
+        c = self.colors[y]
+        p = 0
+        for kd in self.out[c]:
+            p += (w > kd) - (w < kd)
+        for kd in self.back[c]:
+            p += (kd < -w) - (kd > -w)
+        self[y] = p
+        return p
 
 
 def framed_partition_function(
@@ -298,12 +311,14 @@ def framed_partition_function(
 
     Deltas are carried down the walk: a candidate y that passes from S to
     S + x gains pair(x, y), one lookup.  pair(x, y) depends on the two atoms
-    only, so it is computed once per call, when first needed.  Only an atom
-    that x makes addable is counted from scratch, as fixed(y) plus its
-    pairs with the atoms held, a stack the walk pushes x onto on the way
-    down and pops on the way back.  Those pairs come from y's own row of
-    the memo, because pair is symmetric: with w = key(y) - key(x), pair(x,
-    y) sums sgn(w - kd) over the arrows from x's colour to y's and
+    only, so it is computed once per call, when first needed, and kept in
+    x's row: a dict, held in a list by atom number, that computes a missing
+    entry itself.  An atom's row is made when it first becomes addable.
+    Only an atom that x makes addable is counted from scratch, as fixed(y)
+    plus its pairs with the atoms held, a stack the walk pushes x onto on
+    the way down and pops on the way back.  Those pairs come from y's own
+    row, because pair is symmetric: with w = key(y) - key(x), pair(x, y)
+    sums sgn(w - kd) over the arrows from x's colour to y's and
     sgn(-w - kd) over the arrows back, and swapping x and y sends w to -w
     and swaps the two arrow lists.
 
@@ -313,10 +328,12 @@ def framed_partition_function(
     carries its step to that int, so a child's is its parent's plus the
     step.  The last level is fused: the children of a crystal of bound - 1
     atoms are counted in the loop that chose its last atom, so leaves are
-    never built.  An atom gets its number, key and constant when the walk
-    first meets it, so ERC atoms the walk never reaches cost nothing past
-    ``build_erc``.  At the end the counts are grouped by key, one int sort
-    of the keys lists Z's terms in term order, and each key is decoded
+    never built.  The atoms are the numbers ``build_erc`` gave them: the
+    walk reads their successors and predecessor counts from its lists, and
+    one pass over its atoms gives each its key and constant.  At the end
+    one int sort of the counts lists them in term order, then index order;
+    a count's int splits into its dimension key and index, a new
+    coefficient starts where the key changes, and each key is decoded
     once.  Z is canonical by construction, so it is built without the
     constructor's input checks.
     """
@@ -326,6 +343,7 @@ def framed_partition_function(
 
     n = len(q.nodes)
     color = q.node_index
+    colors = erc.colors
     (sx, sy), (tx, ty) = slope.s, slope.sp
     # an atom the walk compares sits in a crystal of at most bound atoms,
     # which holds a chain of arrows from the root to it, so |s'.t| is at
@@ -343,62 +361,50 @@ def framed_partition_function(
     fixed = [
         _dim_key([int(i == c) for i in range(n)], radix) * span for c in range(n)
     ]
+    # between[a][b] and back[b][a]: the keys of the arrows from colour a to b
     between = [[[] for _ in range(n)] for _ in range(n)]
-    framed = []
+    back = [[between[a][b] for a in range(n)] for b in range(n)]
+    framed = [[] for _ in range(n)]
     for src, tgt, (dx, dy) in arrows:
         kd = (sx * dx + sy * dy) * m + tx * dx + ty * dy
         if src is None:
-            framed.append((color[tgt], 1, kd))
+            framed[color[tgt]].append((1, kd))
         elif tgt is None:
-            framed.append((color[src], -1, kd))
+            framed[color[src]].append((-1, kd))
         else:
             cs, ct = color[src], color[tgt]
             between[cs][ct].append(kd)
             if cs == ct:
                 fixed[cs] += (kd < 0) - (kd > 0)
 
-    # what the walk reads of an atom, by the number it gets when first met
-    atoms, col, keys, base, missing, succs = [], [], [], [], [], []
-
-    def meet(a):
-        node, (x, y), _ = a
-        c = color[node]
+    # what the walk reads of an atom, by its number in the sweep: the key
+    # and the step of the atom alone, counted against the framing node's one
+    # state, of key 0, along the framing and companion arrows
+    keys, base = [], []
+    for (_, (x, y), _), c in zip(erc.by_number, colors):
         k = (sx * x + sy * y) * m + tx * x + ty * y
         step = fixed[c]
-        # the framing node's one state has key 0, so an atom's pairs with
-        # it along the framing and companion arrows never change
-        for fc, sign, kd in framed:
-            if fc == c:
-                w = sign * k - kd
-                step += (w > 0) - (w < 0)
-        atoms.append(a)
-        col.append(c)
+        for sign, kd in framed[c]:
+            w = sign * k - kd
+            step += (w > 0) - (w < 0)
         keys.append(k)
         base.append(step)
-        missing.append(len(erc.predecessors(a)))
-        succs.append(None)
-        return len(atoms) - 1
+    succ = erc.succ
+    missing = list(erc.npreds)
 
-    number = _Memo(meet)
-
-    def pair(x, y):
-        # what x, once present, adds to the index change of y
-        w = keys[y] - keys[x]
-        p = 0
-        for kd in between[col[x]][col[y]]:
-            p += (w > kd) - (w < kd)
-        for kd in between[col[y]][col[x]]:
-            p += (kd < -w) - (kd > -w)
-        return p
-
-    # pairs[x][y] is pair(x, y), which is also pair(y, x)
-    pairs = _Memo(lambda x: _Memo(partial(pair, x)))
+    # rows[x][y] is pair(x, y), which is also pair(y, x); the row of an atom
+    # is made when the atom first becomes addable
+    rows = [None] * len(keys)
     # the atoms of the current crystal, in the order they were added
     held = []
 
     def fresh(y):
         # the step of a newly addable atom, counted against the held atoms
-        return base[y] + sum(map(pairs[y].__getitem__, held))
+        row = rows[y]
+        if row is None:
+            c = colors[y]
+            row = rows[y] = _Row(keys[y], between[c], back[c], keys, colors)
+        return base[y] + sum(map(row.__getitem__, held))
 
     counts = defaultdict(int)
 
@@ -407,11 +413,9 @@ def framed_partition_function(
         for i, x in enumerate(cands):
             k = key + steps[i]
             counts[k] += 1
-            row = pairs[x]
+            row = rows[x]
             rest = cands[i + 1 :]
-            ss = succs[x]
-            if ss is None:
-                ss = succs[x] = tuple(map(number.__getitem__, erc.successors(atoms[x])))
+            ss = succ[x]
             new = []
             for y in ss:
                 missing[y] -= 1
@@ -437,13 +441,19 @@ def framed_partition_function(
 
     counts[0] = 1  # the empty crystal
     if bound:
-        root = number[erc.root]
-        grow([root], [base[root]], 0, 0)
+        # the root, number 0, is the one atom addable to the empty crystal
+        grow([0], [fresh(0)], 0, 0)
     del grow  # grow holds itself through its closure: free the walk's state now
-    polys: dict = {}
-    for k, count in counts.items():
+    # the int order of the counts is term order, then index order
+    terms = {}
+    last = None
+    for k in sorted(counts):
         key, e = divmod(k + off, span)
-        polys.setdefault(key, {})[e - off] = count
-    # every count is positive, so each poly is already a reduced numerator
-    coeffs = {key: VRational(poly, {0: 1}, _raw=True) for key, poly in polys.items()}
-    return _keyed(bound, euler_form(q)[1], coeffs)
+        if key != last:
+            last = key
+            # every count is positive, so each poly is already a reduced
+            # numerator
+            poly = {}
+            terms[_dim(key, n, radix)] = VRational(poly, {0: 1}, _raw=True)
+        poly[e - off] = counts[k]
+    return _series(bound, euler_form(q)[1], terms)

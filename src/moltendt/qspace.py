@@ -434,6 +434,9 @@ class VRational:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
+        # a Laurent constant equals its int, so it hashes as that int
+        if self._den == _DEN_ONE and self._num.keys() <= {0}:
+            return hash(self._num.get(0, 0))
         return hash((frozenset(self._num.items()), frozenset(self._den.items())))
 
     def __bool__(self):
@@ -508,15 +511,22 @@ def _dim(k, n, radix):
     return tuple(d)
 
 
+def _series(bound, twist, terms):
+    """The series of these terms, which are in term order and have no zero
+    coefficient; nothing is checked."""
+    out = QSeries.__new__(QSeries)
+    out.bound, out.twist, out.terms = bound, twist, terms
+    return out
+
+
 def _keyed(bound, twist, coeffs):
     """The series with coefficient coeffs[k] at the vector of key k, in key
     order, zero coefficients dropped and nothing checked; each key is
     decoded once."""
     n, radix = len(twist), bound + 1
-    terms = {_dim(k, n, radix): coeffs[k] for k in sorted(coeffs) if coeffs[k]}
-    out = QSeries.__new__(QSeries)
-    out.bound, out.twist, out.terms = bound, twist, terms
-    return out
+    return _series(
+        bound, twist, {_dim(k, n, radix): coeffs[k] for k in sorted(coeffs) if coeffs[k]}
+    )
 
 
 def _clean_terms(nvars, terms):

@@ -182,6 +182,66 @@ def check_whole_predecessors(q, fr, b):
     assert enumerate_crystals(small, b) == enumerate_crystals(large, b)
 
 
+def reference_erc(q, grading, framing, max_atoms):
+    """(grades, successors, predecessors) of every atom ``build_erc`` must
+    return, as dicts keyed by atom, by a sweep that numbers nothing: the
+    layers of each grade are visited in order, and an atom's links are
+    listed in the order the sweep finds them."""
+
+    steps = {}
+    for a in q.arrows:
+        if a.id in framing.allowed:
+            w = q.cut_weight[a.id]
+            steps.setdefault(a.src, []).append((a.tgt, a.disp, grading.count[a.id], w))
+    top = max((w for ss in steps.values() for *_, w in ss), default=0) * (max_atoms - 1)
+    root = (framing.node, (0, 0), 0)
+    grades = {root: 0}
+    succs = {}
+    preds = {root: []}
+    layers = [[root]] + [[] for _ in range(top)]
+    for g, layer in enumerate(layers):
+        for atom in layer:
+            node, (tx, ty), n = atom
+            out = []
+            for tgt, (dx, dy), m, w in steps.get(node, ()):
+                nxt = (tgt, (tx + dx, ty + dy), n + m)
+                if nxt not in grades:
+                    if g + w > top:
+                        continue
+                    grades[nxt] = g + w
+                    layers[g + w].append(nxt)
+                assert grades[nxt] == g + w
+                out.append(nxt)
+                preds.setdefault(nxt, []).append(atom)
+            succs[atom] = tuple(out)
+    return grades, succs, {atom: tuple(ps) for atom, ps in preds.items()}
+
+
+def check_against_reference(q, fr, b):
+    grading = reference_grading(q)
+    erc = build_erc(q, grading, fr, b)
+    grades, succs, preds = reference_erc(q, grading, fr, b)
+    assert erc.atoms() == sorted(grades, key=lambda a: (grades[a], erc.sort_key(a)))
+    for a in grades:
+        assert erc.grade(a) == grades[a]
+        assert erc.successors(a) == succs[a]
+        assert erc.predecessors(a) == preds[a]
+
+
+class TestReferenceSweep:
+    # the numbered lists must give back, through the atom views, exactly
+    # the dicts and the orders of a sweep keyed by atom
+    @pytest.mark.parametrize("source", builtin_names() + (3,))
+    def test_every_framing(self, source):
+        # an int source n stands for the orbifold C^3 / Z_n x Z_n
+        q = quiver(orbifold_quiver(source)) if isinstance(source, int) else load_geometry(source)
+        d = toric_diagram(q)
+        for v in q.nodes:
+            check_against_reference(q, framing_d6(q, v), 7)
+        for k in range(len(d.corners)):
+            check_against_reference(q, framing_d4(q, d, k), 7)
+
+
 class TestWholePredecessors:
     @pytest.mark.parametrize("name", builtin_names())
     def test_every_framing(self, name):

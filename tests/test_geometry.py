@@ -356,6 +356,19 @@ class TestQuiverValidation:
         with pytest.raises(ValidationError):
             load_geometry(write(tmp_path, obj2))
 
+    def test_bool_disp(self, tmp_path):
+        # True == 1, so a bool would read as a displacement of 1
+        obj = self.base()
+        obj["arrows"][0]["disp"] = [True, 0]
+        with pytest.raises(ParseError, match=r"^arrow disp .*\[True, 0\]"):
+            load_geometry(write(tmp_path, obj))
+
+    def test_bool_sign(self, tmp_path):
+        obj = self.base()
+        obj["potential"][0]["sign"] = True
+        with pytest.raises(ValidationError, match="^potential sign True "):
+            load_geometry(write(tmp_path, obj))
+
     def test_unknown_builtin(self):
         with pytest.raises(ParseError):
             load_geometry("no-such-geometry")

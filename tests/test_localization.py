@@ -435,15 +435,24 @@ class TestWalkOutput:
         assert z == QSeries.unit(0, z.twist)
 
     def test_walk_leaves_no_cycle_behind(self):
-        q, grading, d = setting("c3")
-        fr, s = framing_d6(q, 0), make_slope(d, corner=0)
-        gc.collect()
-        gc.disable()
-        try:
-            framed_partition_function(q, grading, fr, s, 8)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        # pdp3a has many colours, so many pair rows and arrow lists
+        for name, kind, at, bound in [
+            ("c3", "d6", 0, 8),
+            ("pdp3a", "d6", 0, 6),
+            ("pdp3a", "d4", 0, 10),
+        ]:
+            q, grading, d = setting(name)
+            if kind == "d6":
+                fr, s = framing_d6(q, q.nodes[at]), make_slope(d, corner=0)
+            else:
+                fr, s = framing_d4(q, d, at), make_slope(d, corner=at)
+            gc.collect()
+            gc.disable()
+            try:
+                framed_partition_function(q, grading, fr, s, bound)
+                assert gc.collect() == 0, (name, kind, at)
+            finally:
+                gc.enable()
 
 
 class TestIntegerArguments:

@@ -94,6 +94,25 @@ class TestVRational:
     def test_hashable_value_semantics(self):
         assert len({lau({2: 1}), lau({3: 1, 1: -1}) / lau({1: 1, -1: -1})}) == 1
 
+    def test_constants_hash_as_their_ints(self):
+        assert {2: "a"}[VRational.from_int(2)] == "a"
+        assert len({0, VRational.zero()}) == 1
+        assert len({1, ONE, lau({0: 1})}) == 1
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equal_values_hash_equal(self, data):
+        values = st.one_of(
+            st.integers(-2, 2),
+            st.dictionaries(st.integers(-1, 1), st.integers(-2, 2), max_size=2).map(lau),
+            st.tuples(st.integers(-2, 2), st.integers(1, 2)).map(
+                lambda f: VRational.fraction({0: f[0]}, {0: f[1]})
+            ),
+        )
+        a, b = data.draw(values), data.draw(values)
+        if a == b:
+            assert hash(a) == hash(b)
+
     def test_laurent_dict_rejects_non_laurent(self):
         with pytest.raises(ValidationError, match="Laurent") as err:
             VRational.fraction({0: 1}, {0: 1, 1: 1}).laurent_dict()
