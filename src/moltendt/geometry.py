@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -248,8 +246,9 @@ class PeriodicQuiver:
     def cut_weight(self) -> dict[str, int]:
         """Arrow id -> the number of cuts that hold the arrow."""
 
-        count = Counter(chain.from_iterable(cut.arrows for cut in self.cuts))
-        return {aid: count[aid] for aid in self.arrow_by_id}
+        from . import matchings
+
+        return matchings.cut_weight(self)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousCornerError,
@@ -26,10 +27,58 @@ from .geometry import PeriodicQuiver
 Vec = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Cut:
-    arrows: frozenset
+class Cut(NamedTuple):
+    """A cut as a bit mask over its quiver's sorted arrow ids.
+
+    ``ids`` is the quiver's sorted arrow-id tuple, shared by all its cuts;
+    the arrow of rank r in it sits on bit ``len(ids) - 1 - r`` of ``mask``,
+    so the least id holds the highest bit.  ``arrows`` decodes the mask
+    into a frozenset on each access; the pipeline reads it only for the
+    corner cuts and the reference cut.
+    """
+
+    mask: int
     point: Vec
+    ids: tuple[str, ...]
+
+    @property
+    def arrows(self) -> frozenset:
+        return frozenset(self._sorted_arrows())
+
+    def _sorted_arrows(self) -> tuple[str, ...]:
+        bits = f"{self.mask:0{len(self.ids)}b}"  # rank 0 first
+        return tuple(aid for aid, bit in zip(self.ids, bits) if bit == "1")
+
+    def __repr__(self) -> str:
+        return f"Cut(arrows={self._sorted_arrows()!r}, point={self.point!r})"
+
+
+def cut_weight(q: PeriodicQuiver) -> dict[str, int]:
+    """Arrow id -> the number of cuts that hold the arrow.
+
+    The counts are bit-sliced: ``planes[j]`` is a mask, in the bit order
+    of ``Cut.mask``, of the arrows whose count has bit j set.  Each cut's
+    mask adds one to all its arrows' counts at once, by a carry that
+    ripples up the planes through xor and and, so no cut is decoded.
+    """
+
+    planes: list[int] = []
+    for cut in q.cuts:
+        carry = cut.mask
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    ids = q.cuts[0].ids
+    top = len(ids) - 1
+    count = {
+        aid: sum((plane >> (top - r) & 1) << j for j, plane in enumerate(planes))
+        for r, aid in enumerate(ids)
+    }
+    return {aid: count[aid] for aid in q.arrow_by_id}
 
 
 @dataclass(frozen=True)
@@ -103,11 +152,11 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     column lies out of reach of every remaining term.
 
     The search splits at depth h = min(n, n // 2 + 1) of the n terms.
-    Above h it runs depth first, carrying the running point and sort key,
-    and remembers only dead states (those with no completion), as bare
-    masks.  From h on it reads a table that holds, once per mask, every
-    completion as (sort-key bits, point offset, frozenset of its arrows);
-    a cut is its prefix's arrow set joined to a completion by one union.
+    Above h it runs depth first, carrying the running point and arrow
+    mask, and remembers only dead states (those with no completion), as
+    bare masks.  From h on it reads a table that holds, once per mask,
+    every completion as (arrow mask, point offset); a cut's mask is its
+    prefix's mask or'ed with a completion's, and the two share no bit.
     Many prefixes share few masks near the end: on C^3/Z_5 x Z_5 the
     plain depth-first search made 80,166 calls for 7,623 cuts, 6,636 to
     7,626 at each of the depths 19 to 24, where at most 25 masks exist at
@@ -116,12 +165,12 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
 
     The table stays small beside the cuts it yields: 4,494 masks and
     4,024 completions on C^3/Z_5 x Z_5, 28,904 and 40,967 on
-    C^3/Z_6 x Z_6 (263,640 cuts).  The peak traced memory of one call was
-    14.4 MiB on C^3/Z_5 x Z_5, of which the returned cuts hold 9.9 MiB,
-    and 414 MiB on C^3/Z_6 x Z_6, of which the cuts hold 340 MiB.  A union
-    of two frozensets sizes its hash table for the pair, so each cut's
-    set is about half the size of one grown from a list; ``Cut`` has
-    slots, which saves 40 traced bytes a cut against an instance dict.
+    C^3/Z_6 x Z_6 (263,640 cuts).  A cut is one ``Cut`` tuple, its mask
+    and a point tuple shared by every cut at that lattice point; no arrow
+    set is built.  The peak traced memory of one call is 2.7 MiB on
+    C^3/Z_5 x Z_5, of which the returned cuts hold 1.0 MiB, and 68 MiB on
+    C^3/Z_6 x Z_6, of which the cuts hold 31 MiB (with a frozenset per
+    cut these were 14.4, 9.9, 414 and 340 MiB).
 
     NoCutError names the cause: unequal positive and negative term counts,
     a term whose every arrow repeats inside one of its terms, or no
@@ -152,10 +201,11 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     # highest bit.  Equal-size arrow sets compare as their sorted id tuples
     # do exactly when their keys compare in reverse: the first place two
     # sorted tuples differ holds the least arrow in only one of the sets.
-    ids = sorted(chi)
+    # The key is also the cut's ``Cut.mask``.
+    ids = tuple(sorted(chi))
     weight = {aid: 1 << (len(ids) - 1 - r) for r, aid in enumerate(ids)}
     options = [
-        [(column[a], weight[a], a, *chi[a]) for a in sorted(set(cyc) - repeated)]
+        [(column[a], weight[a], *chi[a]) for a in sorted(set(cyc) - repeated)]
         for cyc in pos
     ]
     reach = [0] * n  # the columns each term can take
@@ -175,8 +225,8 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     sweep = [options[t] for t in order]
     split = min(n, n // 2 + 1)
     # tails[m]: the completions of a used-column mask m of depth at least
-    # split, as (key bits, x, y, arrows); the full mask has one, the empty one
-    tails: dict[int, list] = {(1 << n) - 1: [(0, 0, 0, frozenset())]}
+    # split, as (key bits, x, y); the full mask has one, the empty one
+    tails: dict[int, list] = {(1 << n) - 1: [(0, 0, 0)]}
 
     def tail(mask: int) -> list:
         out = tails.get(mask)
@@ -185,26 +235,23 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
         out = tails[mask] = []
         depth = mask.bit_count()
         unreached = out_of_reach[depth + 1]
-        for bit, w, aid, dx, dy in sweep[depth]:
+        for bit, w, dx, dy in sweep[depth]:
             m = mask | bit
             if m == mask or unreached & ~m:
                 continue
-            one = (aid,)
-            out += [(k | w, x + dx, y + dy, arrows.union(one)) for k, x, y, arrows in tail(m)]
+            out += [(k | w, x + dx, y + dy) for k, x, y in tail(m)]
         return out
 
     found: list = []
-    chosen = [""] * split
     dead: set[int] = set()  # masks above split with no completion
 
     def grow(depth: int, mask: int, key: int, x: int, y: int) -> bool:
         alive = False
         unreached = out_of_reach[depth + 1]
-        for bit, w, aid, dx, dy in sweep[depth]:
+        for bit, w, dx, dy in sweep[depth]:
             m = mask | bit
             if m == mask or unreached & ~m or m in dead:
                 continue
-            chosen[depth] = aid
             if depth + 1 < split:
                 if grow(depth + 1, m, key | w, x + dx, y + dy):
                     alive = True
@@ -213,11 +260,8 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
                 continue
             rest = tail(m)
             if rest:
-                head, k0, x0, y0 = frozenset(chosen), key | w, x + dx, y + dy
-                found.extend([
-                    (x0 + x1, y0 + y1, -(k0 | k1), head | arrows)
-                    for k1, x1, y1, arrows in rest
-                ])
+                k0, x0, y0 = key | w, x + dx, y + dy
+                found.extend([(x0 + x1, y0 + y1, -(k0 | k1)) for k1, x1, y1 in rest])
                 alive = True
         return alive
 
@@ -232,7 +276,8 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
             f" cannot pair the {n} positive terms one to one with the negative terms"
         )
     found.sort()
-    return [Cut(arrows, (x, y)) for x, y, _, arrows in found]
+    new, point = tuple.__new__, {}  # one point tuple per lattice point
+    return [new(Cut, (-key, point.setdefault((x, y), (x, y)), ids)) for x, y, key in found]
 
 
 # ---------------------------------------------------------------------------

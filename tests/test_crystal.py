@@ -142,9 +142,10 @@ class TestErc:
                 }
                 assert window and window <= slices[n + 1]
 
-    @pytest.mark.parametrize("source", builtin_names() + (3,))
+    @pytest.mark.parametrize("source", builtin_names() + (3, 4))
     def test_cut_weight_counts_cuts(self, source):
-        # an int source n stands for the orbifold C^3 / Z_n x Z_n
+        # an int source n stands for the orbifold C^3 / Z_n x Z_n; n = 4
+        # counts 139 of 417 cuts an arrow, eight bit planes
         q = quiver(orbifold_quiver(source)) if isinstance(source, int) else load_geometry(source)
         assert q.cut_weight == {
             a.id: sum(a.id in cut.arrows for cut in q.cuts) for a in q.arrows

@@ -12,7 +12,9 @@ code shows up here.
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,10 +173,12 @@ class TestCuts:
         for term in obj["potential"]:
             k = data.draw(st.integers(0, len(term["cycle"]) - 1))
             term["cycle"] = term["cycle"][k:] + term["cycle"][:k]
-        got = perfect_matchings(quiver(obj))
-        assert [(c.arrows, c.point) for c in got] == [
-            (c.arrows, c.point) for c in perfect_matchings(q)
+        permuted = quiver(obj)
+        assert [(c.arrows, c.point) for c in permuted.cuts] == [
+            (c.arrows, c.point) for c in q.cuts
         ]
+        # the mask bits follow the sorted ids, not the arrow order
+        assert permuted.cut_weight == q.cut_weight
 
     @pytest.mark.parametrize("source", ["c3", "pdp3a", 4])
     def test_search_leaves_no_cycle_behind(self, source):
@@ -192,6 +196,60 @@ class TestCuts:
         a = perfect_matchings(q)
         b = perfect_matchings(q)
         assert [(c.arrows, c.point) for c in a] == [(c.arrows, c.point) for c in b]
+
+    def test_c3_z6z6_cut_list_is_pinned(self):
+        # 263,640 cuts, with the count and digest of the search that stored
+        # each cut as a frozenset of arrows.  Each cut hashes as its sorted
+        # arrow ids, each followed by a space, then "x y" and a newline.
+        # The masks are decoded a byte at a time here, since decoding every
+        # cut through ``arrows`` alone takes seconds.
+        cuts = perfect_matchings(load(6))
+        ids = cuts[0].ids
+        size = -(-len(ids) // 8)
+        padded = ("",) * (8 * size - len(ids)) + ids
+        table = [
+            ["".join(padded[8 * i + b] + " " for b in range(8) if byte >> 7 - b & 1)
+             for byte in range(256)]
+            for i in range(size)
+        ]
+        digest = hashlib.sha256()
+        for k, c in enumerate(cuts):
+            line = "".join([table[i][byte] for i, byte in enumerate(c.mask.to_bytes(size, "big"))])
+            if k % 10_000 == 0:
+                assert line == "".join(a + " " for a in sorted(c.arrows))
+            digest.update(f"{line}{c.point[0]} {c.point[1]}\n".encode())
+        assert len(cuts) == 263_640
+        assert digest.hexdigest() == (
+            "df484b7a1f54bab8429edc3505aa0a4a13b684dd02a67cbb2c176fb911c5ad38"
+        )
+
+    def test_search_memory(self):
+        # one call peaks at 2.7 MiB and returns 1.0 MiB of cuts; with a
+        # frozenset per cut these were 14.4 and 9.9 MiB
+        q = load(5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cuts = perfect_matchings(q)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cuts) == 7623
+        assert peak - base < 5 << 20
+        assert held - base < 2 << 20
+
+    def test_cut_is_a_value(self):
+        a, b = perfect_matchings(load("spp")), perfect_matchings(load("spp"))
+        assert a == b and a[0] is not b[0]
+        assert [hash(c) for c in a] == [hash(c) for c in b]
+        assert len(set(a + b)) == len(a)
+        with pytest.raises(AttributeError):
+            a[0].mask = 0
+        with pytest.raises(AttributeError):
+            a[0].point = (0, 0)
+        (corner,) = [c for c in a if c.arrows == {"phi11", "phi23"}]
+        assert repr(corner) == "Cut(arrows=('phi11', 'phi23'), point=(1, -1))"
 
     def test_no_cut(self, tmp_path):
         import json
