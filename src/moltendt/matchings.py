@@ -46,8 +46,13 @@ class Cut(NamedTuple):
         return frozenset(self._sorted_arrows())
 
     def _sorted_arrows(self) -> tuple[str, ...]:
-        bits = f"{self.mask:0{len(self.ids)}b}"  # rank 0 first
-        return tuple(aid for aid, bit in zip(self.ids, bits) if bit == "1")
+        ids, mask, top = self.ids, self.mask, len(self.ids) - 1
+        out = []
+        while mask:  # the highest bit holds the least id
+            b = mask.bit_length() - 1
+            out.append(ids[top - b])
+            mask ^= 1 << b
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"Cut(arrows={self._sorted_arrows()!r}, point={self.point!r})"
