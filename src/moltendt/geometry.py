@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from os import PathLike
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -451,10 +452,9 @@ def load_geometry(source) -> PeriodicQuiver:
         except FileNotFoundError as exc:
             raise ParseError(f"builtin {source!r} is missing from the catalog") from exc
         return _from_obj(obj)
-    path = Path(source)
-    if not path.exists():
+    if not isinstance(source, (str, PathLike)) or not Path(source).exists():
         raise ParseError(f"unknown geometry source {source!r}")
-    return _from_obj(_load_json(path))
+    return _from_obj(_load_json(Path(source)))
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,6 @@ def _successor(q: PeriodicQuiver, sign: int) -> dict[str, str]:
 
 def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
     n = len(q.nodes)
-    idx = q.node_index
     byid = q.arrow_by_id
     delta = (1,) * n
     plus_next = _successor(q, 1)

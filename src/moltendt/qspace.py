@@ -26,16 +26,17 @@ distinct key of its result once and emits the terms in key order.
 ``framed_partition_function`` counts crystals by the same key.
 
 Inverse, plethystic Exp and Log share one triangular recursion, `_solve`,
-which fills its result b one total degree |d| at a time:
+which takes a series a, a right-hand side h and a scale, and fills its
+result b one total degree |d| at a time, d = 0 included:
 
-    b_0 = first,
-    b_d = scale(|d|) * sum over d' != 0 of a_{d'} b_{d-d'} v^{<d',d-d'>}.
+    b_d = scale(|d|) * (h_d - sum over d' != 0 of a_{d'} b_{d-d'} v^{<d',d-d'>}).
 
-The inverse of a solves a b = 1, so b_0 = c_0^{-1} and scale = -c_0^{-1} for
-the constant term c_0 of a.  Let D multiply x^d by |d|; D is a derivation of
-the twisted product, since |d + d'| = |d| + |d'|.  On a pairwise commuting
-support, F = exp(s) is then exactly the solution of D F = (D s) F: F_0 = 1
-and F_d = |d|^{-1} sum_{d'} |d'| s_{d'} F_{d-d'}.  Exp(f) takes
+With scale = c_0^{-1} for the constant term c_0 of a, b solves a b = h, so
+b = a^{-1} h: `_divide`.  The inverse of a is h = 1.  Let D multiply x^d by
+|d|; D is a derivation of the twisted product, since |d + d'| = |d| + |d'|.
+On a pairwise commuting support, F = exp(s) is then exactly the solution of
+D F = (D s) F: F_0 = 1 and F_d = |d|^{-1} sum_{d'} |d'| s_{d'} F_{d-d'}, the
+recursion with a = -D s, h = 1 and scale 1/|d| (1 at d = 0).  Exp(f) takes
 s = sum_k psi_k(f)/k, where psi_k sends c x^d to psi_k(c) x^{kd}.  Since
 D psi_k = k psi_k D, the factor 1/k cancels: D s = sum_k psi_k(D f).  Log
 undoes both steps: with log F = D^{-1}(F^{-1} D F) and
@@ -44,10 +45,11 @@ psi_k D^{-1} = k D^{-1} psi_k gives
 
     (Log F)_d = |d|^{-1} sum over k | d of mu(k) psi_k(F^{-1} D F)_{d/k},
 
-integer Moebius weights and one division by |d| per term.
+with F^{-1} D F one division, a = F and h = D F, then integer Moebius
+weights and one division by |d| per term.
 
-The module has one twisted-product loop, in qmul, and one triangular
-recursion, in _solve.  Both work on coefficients in one shape, (X, e),
+The module has one twisted-product loop, `_products`, which qmul and
+_solve share.  Both work on coefficients in one shape, (X, e),
 meaning X v^e.  The twist v^<d',d''> adds to e; a product multiplies the
 two X and adds the two e; two terms that meet at one d are summed after
 the X of higher e is shifted down by the gap.  When the twist form is zero,
@@ -61,18 +63,20 @@ how to shift it and how to read it back as a VRational:
   base-2^K digits.  Products and sums are exact for every K.  Only reading
   back needs |c_i| < 2^(K-1), so K is fixed before packing from a bound on
   the L1 norm of every result coefficient.  Width rule: qmul takes the
-  product of its inputs' total norms.  qinv takes the largest g_n of the
-  norm recursion g_0 = 1, g_n = sum_{j=1..n} m_j g_{n-j}, where m_j is the
-  total norm of the input at |d| = j; g_n bounds the sum of the inverse's
-  norms over all d with |d| = n.
+  product of its inputs' total norms.  A division takes the largest g_n of
+  the norm recursion g_n = h_n + sum_{j=1..n} m_j g_{n-j}, where m_j and
+  h_n are the total norms of a at |d| = j and of h at |d| = n; g_n bounds
+  the sum of the quotient's norms over all d with |d| = n.  For h = 1 it
+  is g_0 = 1, g_n = sum_{j=1..n} m_j g_{n-j}.
 - plain: X is a VRational and e starts at 0.  VRational.shift both shifts
   and reads.
 
-qmul and qinv choose from their input.  They pack when every coefficient
-is Laurent and, for qinv, the constant term is +-v^k, so Log's qinv and
-qmul pack for a Laurent F.  Everything else is plain: qinv(1 + v + ...)
-and Exp, whose 1/|d| scale is a true fraction.  Log's Moebius sum and
-its division by |d| act after the kernels, on VRational coefficients.
+qmul and _divide choose from their input.  They pack when every
+coefficient is Laurent and, for a division, the constant term of a is
++-v^k, so Log packs for a Laurent F.  Everything else is plain:
+qinv(1 + v + ...) and Exp, whose 1/|d| scale is a true fraction.  Log's
+Moebius sum and its division by |d| act after the kernel, on VRational
+coefficients.
 
 No floating point is used anywhere; polynomial gcds run a primitive
 pseudo-remainder sequence over the integers.
@@ -81,6 +85,7 @@ pseudo-remainder sequence over the integers.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -203,6 +208,14 @@ def _dadd(a, b):
 _DEN_ONE = {0: 1}
 
 
+def _check_poly(p, what):
+    """p if it maps int exponents to int coefficients, else ValidationError;
+    a bool is not an int here."""
+    if not isinstance(p, Mapping) or any(type(x) is not int for x in [*p, *p.values()]):
+        raise ValidationError("%s must map int exponents to ints, got %r" % (what, p))
+    return p
+
+
 def _check_adams(adams):
     if adams not in ("v", "-v"):
         raise ValidationError("adams must be 'v' or '-v', got %r" % (adams,))
@@ -276,13 +289,15 @@ class VRational:
 
     @classmethod
     def laurent(cls, d):
-        if isinstance(d, int):
+        """The int d, or sum of c v^e over the items (e, c) of d."""
+        if type(d) is int:
             return cls.from_int(d)
-        return cls(_strip(d), _raw=True, den=dict(_DEN_ONE))
+        return cls(_strip(_check_poly(d, "polynomial")), dict(_DEN_ONE), _raw=True)
 
     @classmethod
     def fraction(cls, num, den):
-        return cls(num, den)
+        """num / den for polynomials given as laurent() takes them."""
+        return cls(_check_poly(num, "numerator"), _check_poly(den, "denominator"))
 
     @classmethod
     def vpow(cls, j):
@@ -470,15 +485,13 @@ class VRational:
 
 
 def _check_twist(twist):
+    if not isinstance(twist, Sequence) or not all(isinstance(r, Sequence) for r in twist):
+        raise ValidationError("twist must be a square int matrix, got %r" % (twist,))
     rows = tuple(tuple(_check_int(x, "twist entry") for x in row) for row in twist)
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValidationError("twist form is not square")
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != -rows[j][i]:
-                raise ValidationError("twist form is not antisymmetric")
+    if any(len(row) != len(rows) for row in rows):
+        raise ValidationError("twist form is not square")
+    if any(x != -y for row, col in zip(rows, zip(*rows)) for x, y in zip(row, col)):
+        raise ValidationError("twist form is not antisymmetric")
     return rows
 
 
@@ -531,11 +544,13 @@ def _keyed(bound, twist, coeffs):
 
 def _clean_terms(nvars, terms):
     """Checked outside input: a coefficient table with merged duplicates."""
+    if not isinstance(terms, Mapping):
+        raise ValidationError("terms must be a mapping, got %r" % (terms,))
     clean = {}
-    for d, c in (terms or {}).items():
+    for d, c in terms.items():
+        if not isinstance(d, Sequence) or len(d) != nvars:
+            raise ValidationError("dimension vector %r needs %d entries" % (d, nvars))
         d = tuple(_check_int(x, "dimension vector entry") for x in d)
-        if len(d) != nvars:
-            raise ValidationError("dimension vector %r has wrong length" % (d,))
         if any(x < 0 for x in d):
             raise ValidationError("dimension vector %r has a negative entry" % (d,))
         c = VRational._coerce(c)
@@ -567,7 +582,7 @@ class QSeries:
         if self.bound < 0:
             raise ValidationError("bound must be nonnegative")
         self.twist = _check_twist(twist)
-        clean = _clean_terms(self.nvars, terms)
+        clean = _clean_terms(self.nvars, {} if terms is None else terms)
         self.terms = _sorted_terms(
             {d: c for d, c in clean.items() if c and sum(d) <= self.bound}
         )
@@ -576,11 +591,7 @@ class QSeries:
         """A series of this bound and twist from terms this module computed
         in term order: zero coefficients are dropped, nothing else is
         checked.  Outside input goes through ``QSeries(...)``."""
-        out = QSeries.__new__(QSeries)
-        out.bound = self.bound
-        out.twist = self.twist
-        out.terms = {d: c for d, c in terms.items() if c}
-        return out
+        return _series(self.bound, self.twist, {d: c for d, c in terms.items() if c})
 
     @property
     def nvars(self):
@@ -651,7 +662,7 @@ class BpsTable:
         self.bound = bound if bound is None else _check_int(bound, "bound")
         if bound is not None and bound < 0:
             raise ValidationError("bound must be nonnegative")
-        clean = _clean_terms(self.nvars, terms)
+        clean = _clean_terms(self.nvars, {} if terms is None else terms)
         self.terms = _sorted_terms({d: c for d, c in clean.items() if c})
 
     def coeff(self, d):
@@ -732,26 +743,23 @@ def _norm(num):
     return sum(map(abs, num.values()))
 
 
-def _is_unit_monomial(num):
-    return len(num) == 1 and abs(next(iter(num.values()))) == 1
-
-
 def _width(norm):
     """The least K whose balanced base-2^K digits hold every coefficient of
     absolute value at most ``norm``: norm < 2^(K-1)."""
     return norm.bit_length() + 1
 
 
-def _inverse_width(nums, bound):
-    """K for the inverse of a series with a unit constant term: the norm
-    recursion of the module docstring, by total degree."""
-    m = [0] * (bound + 1)
-    for d, num in nums.items():
-        if any(d):
-            m[sum(d)] += _norm(num)
-    g = [1]
+def _quotient_width(a, h, bound):
+    """K for a^-1 h, given the numerators of a, whose constant term is a
+    unit, and of h: the norm recursion of the module docstring.  a's
+    constant term lands in m_0, which the recursion never reads."""
+    m, g = [0] * (bound + 1), [0] * (bound + 1)
+    for d, num in a.items():
+        m[sum(d)] += _norm(num)
+    for d, num in h.items():
+        g[sum(d)] += _norm(num)
     for n in range(1, bound + 1):
-        g.append(sum(m[j] * g[n - j] for j in range(1, n + 1)))
+        g[n] += sum(m[j] * g[n - j] for j in range(1, n + 1))
     return _width(max(g))
 
 
@@ -831,16 +839,18 @@ def qmul(a, b):
     return _keyed(a.bound, a.twist, {k: read(X, e) for k, (X, e) in out.items()})
 
 
-def _solve(a, encoding, first, scale):
+def _solve(a, h, encoding, scale):
     """The triangular recursion of the module docstring, by total degree,
-    on a's terms in ``encoding``; first and scale(n) are (X, e) pairs."""
+    on the terms of a and h in ``encoding``; scale(n) is an (X, e) pair."""
     encode, shift, read = encoding
     nvars, radix = a.nvars, a.bound + 1
     twisted = _twisted(a.twist)
-    steps = _rows(a, encode, True)
-    rows = [[(0, (0,) * nvars, *first)]]
-    for n in range(1, a.bound + 1):
-        acc = {}
+    # a enters negated, so that each degree's accumulator, seeded with h's
+    # row, sums to h_d - sum a_{d'} b_{d-d'} v^<d',d-d'>
+    steps = [[(k, u, -X, e) for k, u, X, e in row] for row in _rows(a, encode, True)]
+    rows = []
+    for n, seed in enumerate(_rows(h, encode, False)):
+        acc = {k: (X, e) for k, _, X, e in seed}
         for s in range(1, n + 1):
             _products(acc, steps[s], rows[n - s], shift, twisted)
         Xs, es = scale(n)
@@ -850,25 +860,29 @@ def _solve(a, encoding, first, scale):
             for k, (X, e) in acc.items()
             if X
         ))
-    return a._with({d: read(X, e) for row in rows for _, d, X, e in row})
+    return _series(a.bound, a.twist, {d: read(X, e) for r in rows for _, d, X, e in r})
 
 
-def qinv(a):
-    """Two-sided inverse; needs an invertible constant term."""
+def _divide(a, h):
+    """a^-1 h, the b with a b = h, by one solve; a needs an invertible
+    constant term."""
     z = (0,) * a.nvars
     c0 = a.coeff(z)
     if not c0:
         raise NonUnitConstantTerm("constant term is zero")
-    nums = _laurent_nums(a.terms)
-    if nums is not None and _is_unit_monomial(nums[z]):
+    na, nh = _laurent_nums(a.terms), _laurent_nums(h.terms)
+    if na is not None and nh is not None and list(map(abs, na[z].values())) == [1]:
         # c0 = s v^k with s = +-1, so c0^-1 = s v^-k
-        ((k, s),) = nums[z].items()
-        encoding = _packed(_inverse_width(nums, a.bound))
-        first, step = (s, -k), (-s, -k)
+        ((k, s),) = na[z].items()
+        encoding, inv = _packed(_quotient_width(na, nh, a.bound)), (s, -k)
     else:
-        inv = VRational.one() / c0
-        encoding, first, step = _PLAIN, (inv, 0), (-inv, 0)
-    return _solve(a, encoding, first, lambda n: step)
+        encoding, inv = _PLAIN, (VRational.one() / c0, 0)
+    return _solve(a, h, encoding, lambda n: inv)
+
+
+def qinv(a):
+    """Two-sided inverse; needs an invertible constant term."""
+    return _divide(a, _series(a.bound, a.twist, {(0,) * a.nvars: VRational.one()}))
 
 
 def _check_commuting(series):
@@ -926,12 +940,12 @@ def exp_pleth(f, adams="v"):
     if f.coeff((0,) * f.nvars):
         raise NonzeroConstantTerm("Exp needs a zero constant term")
     _check_commuting(f)
-    # D s = sum_k psi_k(D f); see the module docstring
+    # a = -D s = -sum_k psi_k(D f); see the module docstring
     return _solve(
-        _adams_sum(_grade(f), lambda k: 1, adams),
+        _adams_sum(_grade(f), lambda k: -1, adams),
+        QSeries.unit(f.bound, f.twist),
         _PLAIN,
-        (VRational.one(), 0),
-        lambda n: (VRational.fraction({0: 1}, {0: n}), 0),
+        lambda n: (VRational.fraction({0: 1}, {0: max(n, 1)}), 0),
     )
 
 
@@ -942,7 +956,7 @@ def log_pleth(F, adams="v"):
         raise NonzeroConstantTerm("Log needs constant term 1")
     _check_commuting(F)
     # |d| (Log F)_d = sum over k | d of mu(k) psi_k(F^-1 D F)_{d/k}
-    s = _adams_sum(qmul(qinv(F), _grade(F)), _mobius, adams)
+    s = _adams_sum(_divide(F, _grade(F)), _mobius, adams)
     return s._with({d: c / sum(d) for d, c in s.terms.items()})
 
 

@@ -373,6 +373,12 @@ class TestQuiverValidation:
         with pytest.raises(ParseError):
             load_geometry("no-such-geometry")
 
+    # Path() raised TypeError for these
+    @pytest.mark.parametrize("source", [123, None])
+    def test_source_neither_name_nor_path(self, source):
+        with pytest.raises(ParseError, match=f"^unknown geometry source {source!r}$"):
+            load_geometry(source)
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")

@@ -34,7 +34,13 @@ from moltendt.qspace import (
     series_from_json,
     series_to_json,
 )
-from moltendt.qspace import _dim, _dim_key, _keyed, _sorted_terms
+from moltendt import qspace
+from moltendt.crystal import framing_d6
+from moltendt.geometry import load_geometry, reference_grading
+from moltendt.localization import framed_partition_function, make_slope
+from moltendt.matchings import toric_diagram
+from moltendt.qspace import _dim, _dim_key, _divide, _keyed, _sorted_terms
+from tests.test_golden import BOUND, FIXTURE, digest
 
 ONE = VRational.one()
 V = VRational.vpow(1)
@@ -193,6 +199,60 @@ class TestConstructorsRefuseNonInts:
     def test_table_negative_bound(self):
         with pytest.raises(ValidationError, match="bound must be nonnegative"):
             BpsTable(2, {(1, 0): 1}, bound=-3)
+
+    # a dimension vector, twist or term table of the wrong shape raised
+    # TypeError or AttributeError
+    @pytest.mark.parametrize(
+        "twist, terms, match",
+        [
+            (FLAT, {5: 1}, "dimension vector 5 needs 2 entries"),
+            (5, {}, "twist must be a square int matrix"),
+            (FLAT, [(0, 0)], "terms must be a mapping"),
+        ],
+    )
+    def test_series_shape(self, twist, terms, match):
+        with pytest.raises(ValidationError, match=match):
+            QSeries(2, twist, terms)
+
+    @pytest.mark.parametrize(
+        "terms, match",
+        [
+            ({5: 1}, "dimension vector 5 needs 2 entries"),
+            (5, "terms must be a mapping"),
+            ([(0, 0)], "terms must be a mapping"),
+        ],
+    )
+    def test_table_shape(self, terms, match):
+        with pytest.raises(ValidationError, match=match):
+            BpsTable(2, terms)
+
+    def test_json_twist_shape(self):
+        doc = series_to_json(mono(2, FLAT, (1, 0)))
+        with pytest.raises(ValidationError, match="twist must be a square int matrix"):
+            series_from_json(doc, 5)
+
+    # laurent({0: 1.5}) + 1 printed 2 but was not equal to 2, and
+    # laurent({0.5: 1}) printed v^0
+    @pytest.mark.parametrize(
+        "poly", [{0: 1.5}, {0.5: 1}, {True: 1}, {0: False}, {0: 1.0}, 1.5, True]
+    )
+    def test_laurent(self, poly):
+        with pytest.raises(ValidationError, match="polynomial must map int exponents"):
+            VRational.laurent(poly)
+
+    @pytest.mark.parametrize(
+        "num, den, what",
+        [
+            ({0: 1.5}, {0: 1}, "numerator"),
+            ({0.5: 1}, {0: 1}, "numerator"),
+            ({0: 1}, {0: 2.0}, "denominator"),
+            ({0: 1}, {True: 1}, "denominator"),
+            ([1], {0: 1}, "numerator"),
+        ],
+    )
+    def test_fraction(self, num, den, what):
+        with pytest.raises(ValidationError, match=what + " must map int exponents"):
+            VRational.fraction(num, den)
 
     @pytest.mark.parametrize("node", [1.0, True, "1"])
     @pytest.mark.parametrize("table", [False, True])
@@ -476,7 +536,7 @@ units = st.one_of(
 # plain coefficients; these loops multiply VRational pairs one by one and
 # share no product code with it, so they are its oracles.
 
-MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0}
+MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
 
 
 def _frac(p, q):
@@ -765,6 +825,75 @@ class TestPlainPath:
                 (0, 2): quarter,
             },
         )
+
+
+# Division: a^-1 h is one solve whose accumulator at each total degree
+# starts from h's row.  qinv divides 1 and Log divides D F by F.
+
+
+def _rhs(coeff, twist):
+    """h over two nodes at bound 3 with a nonzero term at every total degree."""
+    spine = st.tuples(*(
+        st.tuples(st.sampled_from([(i, n - i) for i in range(n + 1)]), coeff)
+        for n in range(4)
+    ))
+    return st.tuples(spine, st.dictionaries(dims, coeff, max_size=3)).map(
+        lambda h: QSeries(3, twist, {**h[1], **dict(h[0])})
+    )
+
+
+def _refuse(*args):
+    raise AssertionError("log_pleth went through qmul or qinv")
+
+
+@pytest.fixture(scope="module")
+def conifold_z():
+    """The golden Z of conifold D6 at node 0 under the slope of corner 0."""
+    q = load_geometry("conifold")
+    slope = make_slope(toric_diagram(q), corner=0)
+    z = framed_partition_function(
+        q, reference_grading(q), framing_d6(q, q.nodes[0]), slope, BOUND
+    )
+    golden = json.loads(FIXTURE.read_text())["cases"][f"conifold d6:{q.nodes[0]} +"]
+    assert digest(z) == golden
+    return z
+
+
+class TestDivision:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([TWISTED, FLAT]), st.data())
+    def test_packed_quotient(self, twist, data):
+        a, c0 = data.draw(_big_series(twist)), data.draw(unit_monomials)
+        u = a - a.constant_part() + QSeries.unit(3, twist).scale(c0)
+        h = data.draw(_rhs(big_coeffs.filter(bool), twist))
+        assert qmul_reference(u, _divide(u, h)) == h
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([TWISTED, FLAT]), st.data())
+    def test_plain_quotient(self, twist, data):
+        a, c0 = data.draw(_plain_series(twist)), data.draw(units)
+        u = a - a.constant_part() + QSeries.unit(3, twist).scale(c0)
+        h = data.draw(_rhs(st.one_of(coeffs, plain_coeffs).filter(bool), twist))
+        assert qmul_reference(u, _divide(u, h)) == h
+
+    @pytest.mark.parametrize("case", ["packed", "plain", "conifold"])
+    def test_log_is_one_division(self, case, monkeypatch, request):
+        if case == "conifold":
+            F = request.getfixturevalue("conifold_z")
+        else:
+            c = 2**70 if case == "packed" else _frac(1, 3)
+            F = QSeries(4, FLAT, {(0, 0): 1, (1, 0): c, (1, 1): -3 * c, (0, 2): V})
+        want = log_by_definition(F, "v")
+        monkeypatch.setattr(qspace, "qmul", _refuse)
+        monkeypatch.setattr(qspace, "qinv", _refuse)
+        assert log_pleth(F) == want
+
+    @pytest.mark.parametrize("m", [3, 70, 200])
+    def test_width_holds_the_right_hand_side(self, m):
+        # at bound 2, F^-1 D F = 2 c x^2 for c = 2^m; a width from the
+        # norms of F alone holds c but not 2 c and reads a wrong digit
+        F = QSeries(2, ((0,),), {(0,): 1, (2,): 2**m})
+        assert log_pleth(F) == log_by_definition(F, "v")
 
 
 # The dimension key of the kernels, over 1 to 5 nodes.
