@@ -11,10 +11,13 @@ code shows up here.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,10 @@ from moltendt.matchings import (
     toric_diagram,
     zigzag_analysis,
 )
+
+
+ZIGZAG_FIXTURE = Path(__file__).parent / "fixtures" / "zigzag.json"
+ZIGZAG_SOURCES = [*builtin_names(), 2, 3, 4, 5]
 
 
 def brute_cuts(q):
@@ -120,6 +127,41 @@ def analyze(name):
     q = load_geometry(name)
     diagram = toric_diagram(q)
     return q, diagram, zigzag_analysis(q, diagram)
+
+
+def zigzag_digests():
+    """(case key, digest) for every side of every geometry in
+    ``ZIGZAG_SOURCES``; the key is the geometry and the side name, e.g.
+    "spp z1" or "c3/z5xz5 z0".  The digest is the SHA-256 of the canonical
+    JSON of the side's paths, strips, alphas, zig and zag sets and every
+    arc(k, k').
+
+    To re-record the fixture after a deliberate change of output, run this
+    from the repository root with ``PYTHONPATH=src:.``::
+
+        import json
+        from tests.test_matchings import ZIGZAG_FIXTURE, zigzag_digests
+        ZIGZAG_FIXTURE.write_text(json.dumps(
+            {"cases": dict(zigzag_digests())}, indent=1, sort_keys=True
+        ) + "\\n")
+    """
+
+    for source in ZIGZAG_SOURCES:
+        q = load(source)
+        zz = zigzag_analysis(q, toric_diagram(q))
+        name = f"c3/z{source}xz{source}" if isinstance(source, int) else source
+        for sz in zz.sides:
+            K = len(sz.alphas)
+            data = {
+                "paths": sz.paths,
+                "strips": [sorted(s) for s in sz.strips],
+                "alphas": sz.alphas,
+                "zig": [sorted(s) for s in sz.zig],
+                "zag": [sorted(s) for s in sz.zag],
+                "arcs": [[sz.arc(k, kp) for kp in range(K)] for k in range(K)],
+            }
+            text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            yield f"{name} {sz.side.name}", hashlib.sha256(text.encode()).hexdigest()
 
 
 def side_with_cuts(diagram, a, b):
@@ -547,12 +589,37 @@ class TestZigZag:
         )
         assert sz.arc(1, 1) == zz.delta
 
+    def test_every_side_matches_the_fixture(self):
+        want = json.loads(ZIGZAG_FIXTURE.read_text())["cases"]
+        got = dict(zigzag_digests())
+        assert sorted(got) == sorted(want)
+        differ = [key for key in got if got[key] != want[key]]
+        assert not differ, f"zig-zag data differ from {ZIGZAG_FIXTURE.name}: {differ}"
+
+    @pytest.mark.parametrize("source", ZIGZAG_SOURCES)
+    def test_full_arc_is_delta(self, source):
+        q = load(source)
+        zz = zigzag_analysis(q, toric_diagram(q))
+        assert zz.delta == (1,) * len(q.nodes)
+        for sz in zz.sides:
+            for k in range(len(sz.alphas)):
+                assert sz.arc(k, k) == zz.delta
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_reversed_side_vector_has_no_path(self, name):
+        # a path of the strip's arrows must wind along the side vector l
+        q = load_geometry(name)
+        d = toric_diagram(q)
+        for i, side in enumerate(d.sides):
+            flipped = dataclasses.replace(side, l=(-side.l[0], -side.l[1]))
+            sides = d.sides[:i] + (flipped,) + d.sides[i + 1:]
+            with pytest.raises(StripCountMismatch, match="no zig-zag path matches"):
+                zigzag_analysis(q, dataclasses.replace(d, sides=sides))
+
     def test_strip_mismatch_guard(self, tmp_path):
         # feeding a diagram whose K was tampered with trips the consistency check
         q = load_geometry("pdp3a")
         d = toric_diagram(q)
-        import dataclasses
-
         bad_sides = tuple(
             dataclasses.replace(s, K=s.K + 1) if s.K == 3 else s for s in d.sides
         )
