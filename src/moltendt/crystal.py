@@ -36,10 +36,12 @@ from .errors import (
     BoundTooSmall,
     InconsistentPoset,
     InvalidSeedArrow,
+    ParseError,
     ValidationError,
     _check_int,
 )
 from .geometry import PeriodicQuiver, ReferenceGrading
+from .qspace import _json_digits
 
 Atom = tuple
 
@@ -107,17 +109,21 @@ def framing_d4(q: PeriodicQuiver, diagram, corner: int, seed: str | None = None)
 
 
 def parse_framing(q: PeriodicQuiver, text: str) -> Framing:
-    """Parse "d6:<node>" or "d4:<corner>[:<arrow>]"."""
+    """Parse "d6:<node>" or "d4:<corner>[:<arrow>]".  A corner, and a node
+    token that is not itself a node id, are read as ints only when they
+    match ``-?[0-9]+``; ``int()`` would also take spaces, a sign,
+    underscores and non-ASCII digits."""
 
+    if not isinstance(text, str):
+        raise ValidationError(f"framing {text!r} is not a string")
     parts = text.split(":")
     if parts[0] == "d6" and len(parts) == 2:
         return framing_d6(q, _node_token(q, parts[1]))
     if parts[0] == "d4" and len(parts) in (2, 3):
         from .matchings import toric_diagram
 
-        try:
-            corner = int(parts[1])
-        except ValueError:
+        corner = _int_token(parts[1])
+        if corner is None:
             raise ValidationError(f"corner index {parts[1]!r} is not an integer")
         seed = parts[2] if len(parts) == 3 else None
         return framing_d4(q, toric_diagram(q), corner, seed)
@@ -126,14 +132,19 @@ def parse_framing(q: PeriodicQuiver, text: str) -> Framing:
     )
 
 
+def _int_token(token: str):
+    """The int that token spells as ``-?[0-9]+``, else None."""
+    try:
+        return _json_digits(token)
+    except ParseError:
+        return None
+
+
 def _node_token(q: PeriodicQuiver, token: str):
     nodes = set(q.nodes)
     if token in nodes:
         return token
-    try:
-        as_int = int(token)
-    except ValueError:
-        as_int = None
+    as_int = _int_token(token)
     if as_int in nodes:
         return as_int
     raise ValidationError(f"framing node {token!r} is not a quiver node")

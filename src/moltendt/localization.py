@@ -83,6 +83,8 @@ class Slope:
 def parse_interval(diagram: ToricDiagramData, text: str) -> tuple:
     """Expand "za..zb" to the run of side names from za to zb inclusive."""
 
+    if not isinstance(text, str):
+        raise InvalidInterval(f"interval {text!r} is not a string")
     if ".." not in text:
         raise InvalidInterval(f"interval {text!r} is not of the form z<i>..z<j>")
     first, last = text.split("..", 1)

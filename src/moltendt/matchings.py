@@ -13,7 +13,7 @@ combinatorics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -382,22 +382,15 @@ class SideZigZag:
     alphas: tuple
     zig: tuple
     zag: tuple
-    jsets: tuple
-    vcycles: dict
-    delta: tuple = field(repr=False, default=())
 
     def arc(self, k: int, kp: int) -> tuple:
         """Sum of strip vectors over the cyclic interval [k, kp[; the empty
-        interval notation k == kp stands for the full turn delta."""
-        if k == kp:
-            return self.delta
+        interval notation k == kp stands for the full turn, the sum of all
+        the alphas, which is ``ZigZagData.delta``."""
         n = len(self.alphas)
-        total = [0] * len(self.delta)
-        j = k % n
-        while j != kp % n:
-            total = [t + a for t, a in zip(total, self.alphas[j])]
-            j = (j + 1) % n
-        return tuple(total)
+        span = n if k == kp else (kp - k) % n
+        rows = [self.alphas[j % n] for j in range(k, k + span)]
+        return tuple(sum(row[v] for row in rows) for v in range(len(self.alphas[0])))
 
 
 @dataclass(frozen=True)
@@ -420,34 +413,60 @@ def _successor(q: PeriodicQuiver, sign: int) -> dict[str, str]:
     return nxt
 
 
+def _zigzag_path(arrows: frozenset, l: Vec, succ: dict, byid: dict) -> tuple | None:
+    """The zig-zag path over exactly ``arrows`` that winds along ``l``, or
+    None.  It is the orbit of the least arrow under the alternating
+    successor map, taking the map of role +1 first and then of -1, and it
+    is given up as soon as it steps outside ``arrows``.  Each arrow lies in
+    one term of each sign, so the map permutes the (arrow, role) states and
+    every orbit closes at its start."""
+
+    if not arrows:
+        return None
+    first = min(arrows)
+    for role in (1, -1):
+        path, cur, r = [first], succ[role][first], -role
+        while cur in arrows and (cur, r) != (first, role):
+            path.append(cur)
+            cur, r = succ[r][cur], -r
+        winding = tuple(map(sum, zip(*(byid[a].disp for a in path))))
+        if (cur, r) == (first, role) and set(path) == arrows and winding == l:
+            return tuple(path)
+    return None
+
+
 def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
-    n = len(q.nodes)
+    """The zig-zag strips and paths of every side of the toric diagram.
+
+    One ``SideZigZag`` per diagram side, in the diagram's order, holds the
+    ``side`` itself and five tuples indexed by strip k.  Deleting the
+    arrows of both corner cuts of a side leaves ``side.K`` undirected
+    components, the strips; strip 0 holds ``q.nodes[0]``, and strip k + 1
+    is the one that the arrows only the end cut holds lead to from strip k.
+    ``strips[k]`` is the strip's node set and ``alphas[k]`` its indicator
+    vector over ``q.nodes``; ``zig[k]`` holds the start-cut-only arrows
+    into the strip and ``zag[k]`` the end-cut-only arrows out of it.
+    ``ZigZagData.delta`` is the all-ones vector, the sum of each side's
+    alphas.
+
+    ``paths[k]`` is the zig-zag path of strip k, traced from the strip's
+    own arrows: from the least arrow of ``zig[k] | zag[k]`` it alternates
+    the successor maps of the positive and the negative terms, taking the
+    positive map first and, failing that, the negative one.  A path is kept
+    when its arrow set is exactly ``zig[k] | zag[k]`` and its arrow
+    displacements sum to the side vector ``side.l``; it starts at its least
+    arrow.
+
+    StripCountMismatch is raised when the component count differs from K,
+    when the end-cut arrows out of a strip reach more or fewer than one
+    strip or close the strip cycle before K steps, when an arrow does not
+    step between strips as its cut membership says, and when no zig-zag
+    path matches a strip, an empty one included.
+    """
+
     byid = q.arrow_by_id
-    delta = (1,) * n
-    plus_next = _successor(q, 1)
-    minus_next = _successor(q, -1)
-
-    # orbits of the alternating successor map; state = (arrow, next step sign)
-    orbits = []
-    seen = set()
-    for aid in sorted(byid):
-        for role in (1, -1):
-            if (aid, role) in seen:
-                continue
-            orbit = []
-            cur, r = aid, role
-            while (cur, r) not in seen:
-                seen.add((cur, r))
-                orbit.append(cur)
-                cur = plus_next[cur] if r == 1 else minus_next[cur]
-                r = -r
-            orbits.append(tuple(orbit))
-
-    by_l: dict[Vec, list] = {}
-    for orbit in orbits:
-        dx = sum(byid[a].disp[0] for a in orbit)
-        dy = sum(byid[a].disp[1] for a in orbit)
-        by_l.setdefault((dx, dy), []).append(orbit)
+    delta = (1,) * len(q.nodes)
+    succ = {1: _successor(q, 1), -1: _successor(q, -1)}
 
     sides = []
     for side in diagram.sides:
@@ -534,69 +553,14 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
             frozenset(a for a in end - start if strip(byid[a].src) == k)
             for k in range(side.K)
         )
-        jsets = tuple(
-            frozenset(a for a in start & end if strip(byid[a].src) == k)
-            for k in range(side.K)
-        )
 
         paths = []
-        pool = list(by_l.get(side.l, []))
         for k in range(side.K):
-            want = zig[k] | zag[k]
-            match = next((o for o in pool if set(o) == want), None)
-            if match is None:
+            path = _zigzag_path(zig[k] | zag[k], side.l, succ, byid)
+            if path is None:
                 raise StripCountMismatch(
                     f"side {side.name}: no zig-zag path matches strip {k}"
                 )
-            i = match.index(min(match))
-            paths.append(match[i:] + match[:i])
-            pool.remove(match)
-
-        vcycles = {}
-        allowed = [a for a in q.arrows if a.id not in forbidden]
-        out_of: dict = {}
-        for a in allowed:
-            out_of.setdefault(a.src, []).append(a)
-        for v in q.nodes:
-            best = {v: ()}
-            frontier = {v: ()}
-            cycle = None
-            for _ in range(len(q.arrows) + 1):
-                grown: dict = {}
-                for node, path in sorted(frontier.items(), key=lambda kv: kv[1]):
-                    for a in sorted(out_of.get(node, []), key=lambda a: a.id):
-                        cand = path + (a.id,)
-                        if a.tgt == v:
-                            if cycle is None or cand < cycle:
-                                cycle = cand
-                            continue
-                        if a.tgt in best:
-                            continue
-                        if a.tgt not in grown or cand < grown[a.tgt]:
-                            grown[a.tgt] = cand
-                if cycle is not None:
-                    break
-                best.update(grown)
-                frontier = grown
-                if not frontier:
-                    break
-            if cycle is None:
-                raise StripCountMismatch(
-                    f"side {side.name}: no strip cycle through node {v!r}"
-                )
-            vcycles[v] = cycle
-
-        sides.append(
-            SideZigZag(
-                side=side,
-                paths=tuple(paths),
-                strips=strips,
-                alphas=alphas,
-                zig=zig,
-                zag=zag,
-                jsets=jsets,
-                vcycles=vcycles,
-                delta=delta,
-            )
-        )
+            paths.append(path)
+        sides.append(SideZigZag(side, tuple(paths), strips, alphas, zig, zag))
     return ZigZagData(delta=delta, sides=tuple(sides))

@@ -268,7 +268,11 @@ def _reduce(num, den):
 
 
 class VRational:
-    """A rational function of v with integer coefficients, kept reduced."""
+    """A rational function of v with integer coefficients, kept reduced.
+
+    ``VRational(num, den)`` takes outside input: num and den must map int
+    exponents to ints.  Arithmetic builds its results through `_reduced`,
+    and ``_raw=True`` takes a reduced pair as it is; neither checks."""
 
     __slots__ = ("_num", "_den")
 
@@ -279,12 +283,15 @@ class VRational:
             self._num = num
             self._den = den
         else:
-            self._num, self._den = _reduce(num, den)
+            self._num, self._den = _reduce(
+                _check_poly(num, "numerator"), _check_poly(den, "denominator")
+            )
 
     # -- constructors
 
     @classmethod
     def from_int(cls, n):
+        _check_int(n, "VRational.from_int argument")
         return cls({0: n} if n else {}, _raw=True, den=dict(_DEN_ONE))
 
     @classmethod
@@ -297,10 +304,11 @@ class VRational:
     @classmethod
     def fraction(cls, num, den):
         """num / den for polynomials given as laurent() takes them."""
-        return cls(_check_poly(num, "numerator"), _check_poly(den, "denominator"))
+        return cls(num, den)
 
     @classmethod
     def vpow(cls, j):
+        _check_int(j, "VRational.vpow exponent")
         return cls({j: 1}, _raw=True, den=dict(_DEN_ONE))
 
     @classmethod
@@ -329,7 +337,7 @@ class VRational:
         if isinstance(x, VRational):
             return x
         if isinstance(x, int):
-            return VRational.from_int(x)
+            return VRational.from_int(int(x))  # int() reads a bool as 0 or 1
         return NotImplemented
 
     def __add__(self, other):
@@ -338,7 +346,7 @@ class VRational:
             return NotImplemented
         if self._den == _DEN_ONE and other._den == _DEN_ONE:
             return VRational(_dadd(self._num, other._num), _raw=True, den=dict(_DEN_ONE))
-        return VRational(
+        return _reduced(
             _dadd(_dconv(self._num, other._den), _dconv(other._num, self._den)),
             _dconv(self._den, other._den),
         )
@@ -376,9 +384,7 @@ class VRational:
             return NotImplemented
         if self._den == _DEN_ONE and other._den == _DEN_ONE:
             return VRational(_dconv(self._num, other._num), _raw=True, den=dict(_DEN_ONE))
-        return VRational(
-            _dconv(self._num, other._num), _dconv(self._den, other._den)
-        )
+        return _reduced(_dconv(self._num, other._num), _dconv(self._den, other._den))
 
     __rmul__ = __mul__
 
@@ -386,9 +392,7 @@ class VRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return VRational(
-            _dconv(self._num, other._den), _dconv(self._den, other._num)
-        )
+        return _reduced(_dconv(self._num, other._den), _dconv(self._den, other._num))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -411,7 +415,8 @@ class VRational:
         return out
 
     def shift(self, j):
-        """Multiply by v^j (exact, no renormalization needed)."""
+        """Multiply by v^j for an int j (exact, no renormalization needed)."""
+        _check_int(j, "shift exponent")
         if not j or not self._num:
             return self
         return VRational(
@@ -420,14 +425,17 @@ class VRational:
 
     def bar(self):
         """The involution v -> v^{-1}."""
-        return VRational(
+        return _reduced(
             {-e: c for e, c in self._num.items()},
             {-e: c for e, c in self._den.items()},
         )
 
     def adams(self, k, adams="v"):
-        """psi_k.  With adams="v" substitute v -> v^k; with adams="-v"
-        substitute v -> (-1)^{k+1} v^k, the rule for -v as line element."""
+        """psi_k for an int k >= 1.  With adams="v" substitute v -> v^k; with
+        adams="-v" substitute v -> (-1)^{k+1} v^k, the rule for -v as line
+        element."""
+        if _check_int(k, "Adams index") < 1:
+            raise ValidationError("Adams index must be at least 1, got %r" % (k,))
         _check_adams(adams)
         if k == 1:
             return self
@@ -482,6 +490,12 @@ class VRational:
 
 # ---------------------------------------------------------------------------
 # QSeries: truncated twisted series with VRational coefficients
+
+
+def _reduced(num, den):
+    """The VRational num / den of polynomials this module computed, reduced
+    and unchecked."""
+    return VRational(*_reduce(num, den), _raw=True)
 
 
 def _check_twist(twist):
@@ -542,17 +556,23 @@ def _keyed(bound, twist, coeffs):
     )
 
 
+def _check_vector(d, nvars):
+    """d as a tuple of nvars nonnegative ints, else ValidationError."""
+    if not isinstance(d, Sequence) or len(d) != nvars:
+        raise ValidationError("dimension vector %r needs %d entries" % (d, nvars))
+    d = tuple(_check_int(x, "dimension vector entry") for x in d)
+    if any(x < 0 for x in d):
+        raise ValidationError("dimension vector %r has a negative entry" % (d,))
+    return d
+
+
 def _clean_terms(nvars, terms):
     """Checked outside input: a coefficient table with merged duplicates."""
     if not isinstance(terms, Mapping):
         raise ValidationError("terms must be a mapping, got %r" % (terms,))
     clean = {}
     for d, c in terms.items():
-        if not isinstance(d, Sequence) or len(d) != nvars:
-            raise ValidationError("dimension vector %r needs %d entries" % (d, nvars))
-        d = tuple(_check_int(x, "dimension vector entry") for x in d)
-        if any(x < 0 for x in d):
-            raise ValidationError("dimension vector %r has a negative entry" % (d,))
+        d = _check_vector(d, nvars)
         c = VRational._coerce(c)
         if c is NotImplemented:
             raise ValidationError("coefficient of %r is not VRational or int" % (d,))
@@ -603,10 +623,10 @@ class QSeries:
 
     @classmethod
     def monomial(cls, bound, twist, d, c=1):
-        return cls(bound, twist, {tuple(d): c})
+        return cls(bound, twist, {_check_vector(d, len(_check_twist(twist))): c})
 
     def coeff(self, d):
-        return self.terms.get(tuple(d), VRational.zero())
+        return self.terms.get(_check_vector(d, self.nvars), VRational.zero())
 
     def constant_part(self):
         z = (0,) * self.nvars
@@ -666,7 +686,7 @@ class BpsTable:
         self.terms = _sorted_terms({d: c for d, c in clean.items() if c})
 
     def coeff(self, d):
-        return self.terms.get(tuple(d), VRational.zero())
+        return self.terms.get(_check_vector(d, self.nvars), VRational.zero())
 
     def support(self):
         return list(self.terms)

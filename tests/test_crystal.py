@@ -309,6 +309,28 @@ class TestD4:
         with pytest.raises(ValidationError):
             parse_framing(q, "d6:77")
 
+    # int() read a space, a sign, an underscore and non-ASCII digits, and
+    # text that is not a string raised AttributeError
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("d6: 1", "framing node ' 1' is not a quiver node"),
+            ("d6:+1", "framing node '\\+1' is not a quiver node"),
+            ("d6:\u0661", "is not a quiver node"),
+            ("d4:0_0", "corner index '0_0' is not an integer"),
+            ("d4: 0", "corner index ' 0' is not an integer"),
+            ("d4:\u0660", "is not an integer"),
+            ("d4:-1", "corner index -1 out of range"),
+            (6, "framing 6 is not a string"),
+            (b"d6:1", "is not a string"),
+        ],
+    )
+    def test_parse_framing_is_strict(self, text, match):
+        q = load_geometry("conifold")
+        assert parse_framing(q, "d6:1").node == 1
+        with pytest.raises(ValidationError, match=match):
+            parse_framing(q, text)
+
 
 class TestEnumeration:
     def test_c3_d6_counts_match_3d_partitions(self):

@@ -206,6 +206,13 @@ class TestMakeSlope:
         with pytest.raises(InvalidInterval):
             parse_interval(d, "z0")
 
+    @pytest.mark.parametrize("text", [None, 3, ("z0", "z1"), b"z0..z1"])
+    def test_parse_interval_needs_text(self, text):
+        # these raised TypeError or AttributeError
+        q, grading, d = setting("spp")
+        with pytest.raises(InvalidInterval, match="is not a string"):
+            parse_interval(d, text)
+
 
 class TestIndex:
     def test_c3_single_atom(self):

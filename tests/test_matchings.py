@@ -6,7 +6,9 @@ shares only the homology chains with the matching search, for the ordered
 cuts and their points.  The strip fixtures for the six-node orbifold and
 the suspended pinch point are frozen arrow-by-arrow; they pin the global
 zig/zag orientation convention, so a sign slip anywhere in the diagram
-code shows up here.
+code shows up here.  ``fixtures/zigzag.json`` pins the paths, strips,
+alphas, zig and zag sets and arcs of every side of every builtin and of
+C^3/Z_n x Z_n for n = 2..5 by digest.
 """
 
 from __future__ import annotations
@@ -484,10 +486,6 @@ class TestZigZag:
         assert sz.alphas == ((1, 1, 1),)
         assert sz.zig == (frozenset({"phi32"}),)
         assert sz.zag == (frozenset({"phi23"}),)
-        assert sz.jsets == (frozenset({"phi11"}),)
-        assert sz.vcycles[1] == ("phi12", "phi21")
-        assert sz.vcycles[2] == ("phi21", "phi12")
-        assert sz.vcycles[3] == ("phi31", "phi13")
 
     @pytest.mark.parametrize(
         "name", ["c3", "conifold", "spp", "c2z2-x-c", "local-p2", "c3-z2z2", "pdp3a"]
@@ -546,27 +544,6 @@ class TestZigZag:
                             corr += d_vec[i] * alpha[j] + d_vec[j] * alpha[i]
                         assert lhs + corr == 0
 
-    @pytest.mark.parametrize(
-        "name", ["c3", "conifold", "spp", "c2z2-x-c", "local-p2", "c3-z2z2", "pdp3a"]
-    )
-    def test_strip_cycles(self, name):
-        q, d, zz = analyze(name)
-        byid = {a.id: a for a in q.arrows}
-        grading = d.cuts[0].arrows
-        for sz in zz.sides:
-            weights = set()
-            for node, cyc in sz.vcycles.items():
-                forbidden = sz.side.start_cut.arrows | sz.side.end_cut.arrows
-                assert not (set(cyc) & forbidden)
-                dx = sum(byid[a].disp[0] for a in cyc)
-                dy = sum(byid[a].disp[1] for a in cyc)
-                # strip cycles wind against the boundary paths: their class
-                # is the inward normal, the negative of the side vector
-                assert (dx, dy) == (-sz.side.l[0], -sz.side.l[1])
-                depth = sum(1 for a in cyc if a in grading)
-                weights.add(((dx, dy), depth))
-            assert len(weights) == 1
-
     def test_c3z2z2_strip_pairings(self):
         q, d, zz = analyze("c3-z2z2")
         pairings = set()
@@ -615,6 +592,15 @@ class TestZigZag:
             sides = d.sides[:i] + (flipped,) + d.sides[i + 1:]
             with pytest.raises(StripCountMismatch, match="no zig-zag path matches"):
                 zigzag_analysis(q, dataclasses.replace(d, sides=sides))
+
+    def test_empty_strip_has_no_path(self):
+        # a side whose two corner cuts coincide leaves its strip no arrows
+        q = load_geometry("c3")
+        d = toric_diagram(q)
+        side = dataclasses.replace(d.sides[0], end_cut=d.sides[0].start_cut)
+        bad = dataclasses.replace(d, sides=(side, *d.sides[1:]))
+        with pytest.raises(StripCountMismatch, match="no zig-zag path matches strip 0"):
+            zigzag_analysis(q, bad)
 
     def test_strip_mismatch_guard(self, tmp_path):
         # feeding a diagram whose K was tampered with trips the consistency check

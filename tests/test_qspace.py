@@ -254,6 +254,59 @@ class TestConstructorsRefuseNonInts:
         with pytest.raises(ValidationError, match=what + " must map int exponents"):
             VRational.fraction(num, den)
 
+    @pytest.mark.parametrize(
+        "num, den, what",
+        [
+            ({0.5: 1}, None, "numerator"),
+            ({0: 1.5}, None, "numerator"),
+            ({0: 1}, {0: 2.0}, "denominator"),
+            ({0: 1}, [1], "denominator"),
+        ],
+    )
+    def test_constructor(self, num, den, what):
+        # VRational({0.5: 1}) printed v^0
+        with pytest.raises(ValidationError, match=what + " must map int exponents"):
+            VRational(num, den)
+
+    # vpow(0.5) printed v^0, from_int(1.5) printed 1, and shift(0.5) and
+    # adams(1.5) kept the exponent 1.5; adams(0) returned 1
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: VRational.vpow(0.5), "vpow exponent must be an int"),
+            (lambda: VRational.vpow(True), "vpow exponent must be an int"),
+            (lambda: VRational.from_int(1.5), "from_int argument must be an int"),
+            (lambda: VRational.from_int(True), "from_int argument must be an int"),
+            (lambda: VRational.vpow(1).shift(0.5), "shift exponent must be an int"),
+            (lambda: VRational.vpow(1).adams(1.5), "Adams index must be an int"),
+            (lambda: VRational.vpow(1).adams(0), "Adams index must be at least 1"),
+            (lambda: VRational.vpow(1).adams(-2, "-v"), "Adams index must be at least 1"),
+        ],
+    )
+    def test_vrational_methods(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
+
+    def test_int_operands_still_mix(self):
+        # arithmetic reads an int operand, a bool as 0 or 1
+        assert VRational.vpow(1) + 1 == VRational.laurent({1: 1, 0: 1})
+        assert VRational.one() + True == 2
+        assert VRational.vpow(1).shift(2) == VRational.vpow(3)
+        assert VRational.vpow(1).adams(3) == VRational.vpow(3)
+
+    # each raised TypeError: 'int' object is not iterable
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: QSeries.monomial(2, ((0,),), 5),
+            lambda: QSeries.unit(2, ((0,),)).coeff(5),
+            lambda: BpsTable(1).coeff(5),
+        ],
+    )
+    def test_vector_arguments(self, call):
+        with pytest.raises(ValidationError, match="dimension vector 5 needs 1 entries"):
+            call()
+
     @pytest.mark.parametrize("node", [1.0, True, "1"])
     @pytest.mark.parametrize("table", [False, True])
     def test_symmetry_node(self, node, table):

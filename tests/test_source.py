@@ -4,8 +4,8 @@ Integrity checks must raise typed ``MoltenDTError``s: ``python -O``
 strips ``assert`` statements, so an assert in the package is a check
 that silently stops running.  Every error class the package declares
 must also be raised somewhere in it: a class that nothing raises promises
-a check that does not exist.  The change log stays a readable size with
-each entry written once.
+a check that does not exist.  No module imports a name it never reads.
+The change log stays a readable size with each entry written once.
 """
 
 import ast
@@ -54,6 +54,33 @@ def test_every_error_class_is_raised():
         for name in _raised_names(ast.parse(path.read_text(), filename=str(path)))
     }
     assert not declared - raised, f"never raised: {sorted(declared - raised)}"
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads.  ``__future__`` imports and
+    the names listed in ``__all__`` are exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_package_has_no_unused_imports():
+    found = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in sorted(_unused_imports(ast.parse(path.read_text(), filename=str(path))))
+    ]
+    assert not found, f"unused imports in the package: {found}"
 
 
 def test_change_log_is_small_and_never_repeats_an_entry():
