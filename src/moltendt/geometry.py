@@ -40,6 +40,21 @@ def _vec(obj, what: str) -> Vec:
     return (obj[0], obj[1])
 
 
+def _reaches_all(nodes, steps) -> bool:
+    """Whether the directed ``steps``, (from, to) pairs, lead from the
+    first of ``nodes`` to every one of them."""
+
+    out: dict = {v: [] for v in nodes}
+    for u, w in steps:
+        out[u].append(w)
+    seen, stack = {nodes[0]}, [nodes[0]]
+    while stack:
+        new = set(out[stack.pop()]) - seen
+        seen |= new
+        stack += new
+    return len(seen) == len(out)
+
+
 # ---------------------------------------------------------------------------
 # tilings
 
@@ -62,6 +77,8 @@ class BraneTiling:
     """Validated bipartite torus graph with an embedding."""
 
     def __init__(self, nodes: list[TilingNode], edges: list[TilingEdge]):
+        if not nodes:
+            raise ValidationError("tiling has no nodes")
         ids = [n.id for n in nodes]
         if len(set(ids)) != len(ids):
             raise ValidationError("tiling node ids are not unique")
@@ -87,19 +104,8 @@ class BraneTiling:
         for i, d in deg.items():
             if d < 2:
                 raise ValidationError(f"node {i!r} has degree {d} < 2")
-        # connectivity of the graph on the torus
-        adj: dict[str, set[str]] = {i: set() for i in ids}
-        for e in edges:
-            adj[e.white].add(e.black)
-            adj[e.black].add(e.white)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(ids):
+        links = [(e.white, e.black) for e in edges]
+        if not _reaches_all(ids, links + [(b, w) for w, b in links]):
             raise ValidationError("tiling graph is not connected")
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
@@ -151,6 +157,8 @@ class PeriodicQuiver:
         arrows: list[Arrow],
         potential: list[tuple[int, tuple[str, ...]]],
     ):
+        if not nodes:
+            raise ValidationError("quiver has no nodes")
         if len(set(nodes)) != len(nodes):
             raise ValidationError("quiver node ids are not unique")
         ids = [a.id for a in arrows]
@@ -190,24 +198,10 @@ class PeriodicQuiver:
                 raise ValidationError(
                     f"arrow {i!r} lies in {p} positive and {m} negative terms, expected one each"
                 )
-        # strong connectivity
-        n = len(nodes)
-        idx = {v: k for k, v in enumerate(nodes)}
-        fwd: list[list[int]] = [[] for _ in range(n)]
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for a in arrows:
-            fwd[idx[a.src]].append(idx[a.tgt])
-            rev[idx[a.tgt]].append(idx[a.src])
-        for graph in (fwd, rev):
-            seen = {0}
-            stack = [0]
-            while stack:
-                for j in graph[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != n:
-                raise ValidationError("quiver is not strongly connected")
+        steps = [(a.src, a.tgt) for a in arrows]
+        back = [(t, s) for s, t in steps]
+        if not (_reaches_all(nodes, steps) and _reaches_all(nodes, back)):
+            raise ValidationError("quiver is not strongly connected")
         self.nodes = tuple(nodes)
         self.arrows = tuple(arrows)
         self.potential = tuple((s, tuple(c)) for s, c in potential)

@@ -171,23 +171,18 @@ def make_slope(
 def _by_norm(radius: int):
     """Nonzero integer points with |s| <= ``radius``, by (|s|^2, s).
 
-    The points come one ring r - 1 < |s| <= r at a time, each sorted as it
-    is reached, so a search that stops early never builds the outer rings.
+    The points come norm by norm, so a search that stops early never
+    reaches the outer ones: for each norm n and each x in turn, the y with
+    x^2 + y^2 = n, -y before y.
     """
 
-    inner = 0
-    for r in range(1, radius + 1):
-        ring = []
-        for x in range(-r, r + 1):
-            low = isqrt(inner - x * x) + 1 if x * x <= inner else 0
-            for y in range(low, isqrt(r * r - x * x) + 1):
-                ring.append((x * x + y * y, (x, y)))
+    for n in range(1, radius * radius + 1):
+        for x in range(-isqrt(n), isqrt(n) + 1):
+            y = isqrt(n - x * x)
+            if y * y == n - x * x:
+                yield (x, -y)
                 if y:
-                    ring.append((x * x + y * y, (x, -y)))
-        ring.sort()
-        inner = r * r
-        for _, s in ring:
-            yield s
+                    yield (x, y)
 
 
 @dataclass(frozen=True)

@@ -384,11 +384,11 @@ class SideZigZag:
     zag: tuple
 
     def arc(self, k: int, kp: int) -> tuple:
-        """Sum of strip vectors over the cyclic interval [k, kp[; the empty
-        interval notation k == kp stands for the full turn, the sum of all
-        the alphas, which is ``ZigZagData.delta``."""
+        """Sum of strip vectors over the cyclic interval [k, kp[.  Both
+        indices are read mod K, and k == kp (mod K) stands for the full
+        turn, the sum of all the alphas, which is ``ZigZagData.delta``."""
         n = len(self.alphas)
-        span = n if k == kp else (kp - k) % n
+        span = (kp - k) % n or n
         rows = [self.alphas[j % n] for j in range(k, k + span)]
         return tuple(sum(row[v] for row in rows) for v in range(len(self.alphas[0])))
 
@@ -439,15 +439,21 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
     """The zig-zag strips and paths of every side of the toric diagram.
 
     One ``SideZigZag`` per diagram side, in the diagram's order, holds the
-    ``side`` itself and five tuples indexed by strip k.  Deleting the
-    arrows of both corner cuts of a side leaves ``side.K`` undirected
-    components, the strips; strip 0 holds ``q.nodes[0]``, and strip k + 1
-    is the one that the arrows only the end cut holds lead to from strip k.
-    ``strips[k]`` is the strip's node set and ``alphas[k]`` its indicator
+    ``side`` itself and five tuples indexed by strip k.  The side's two
+    corner cuts define a height on the nodes, read mod ``side.K``: 0 at
+    ``q.nodes[0]``, up by one across an arrow of the end cut only, down by
+    one across an arrow of the start cut only, and level across any other
+    arrow, one of both cuts included.  Strip k is the level set of height
+    k.  ``strips[k]`` is its node set and ``alphas[k]`` its indicator
     vector over ``q.nodes``; ``zig[k]`` holds the start-cut-only arrows
     into the strip and ``zag[k]`` the end-cut-only arrows out of it.
     ``ZigZagData.delta`` is the all-ones vector, the sum of each side's
     alphas.
+
+    One search labels every node.  It covers each strip whole, over the
+    arrows of neither cut, before it crosses an arrow of a cut, so it
+    counts the strips as it goes, and it checks an arrow's step whenever
+    it meets an end that is already labelled.
 
     ``paths[k]`` is the zig-zag path of strip k, traced from the strip's
     own arrows: from the least arrow of ``zig[k] | zag[k]`` it alternates
@@ -457,105 +463,72 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
     displacements sum to the side vector ``side.l``; it starts at its least
     arrow.
 
-    StripCountMismatch is raised when the component count differs from K,
-    when the end-cut arrows out of a strip reach more or fewer than one
-    strip or close the strip cycle before K steps, when an arrow does not
-    step between strips as its cut membership says, and when no zig-zag
-    path matches a strip, an empty one included.
+    StripCountMismatch names the side.  It is raised when an arrow's two
+    ends disagree with its step, when the strip count or the number of
+    distinct heights differs from K, and when no zig-zag path matches a
+    strip, an empty one included.
     """
 
     byid = q.arrow_by_id
     delta = (1,) * len(q.nodes)
     succ = {1: _successor(q, 1), -1: _successor(q, -1)}
+    # node -> (arrow id, far end, +1 along the arrow or -1 against it)
+    touching: dict = {v: [] for v in q.nodes}
+    for a in q.arrows:
+        touching[a.src].append((a.id, a.tgt, 1))
+        touching[a.tgt].append((a.id, a.src, -1))
 
     sides = []
     for side in diagram.sides:
-        start, end = side.start_cut.arrows, side.end_cut.arrows
-        forbidden = start | end
-        # undirected components over the remaining arrows
-        comp = {v: None for v in q.nodes}
-        adj: dict = {v: set() for v in q.nodes}
-        for a in q.arrows:
-            if a.id not in forbidden:
-                adj[a.src].add(a.tgt)
-                adj[a.tgt].add(a.src)
-        comps = []
-        for v in q.nodes:
-            if comp[v] is not None:
+        start, end, K = side.start_cut.arrows, side.end_cut.arrows, side.K
+        step = {a: (a in end) - (a in start) for a in start | end}
+        height: dict = {}
+        crossed = [(q.nodes[0], 0)]  # far ends of cut arrows, with heights
+        count = 0
+        while crossed:
+            v, h = crossed.pop()
+            if v in height:
                 continue
-            label = len(comps)
+            count += 1
+            height[v] = h
             stack = [v]
-            comp[v] = label
-            nodes = {v}
             while stack:
-                for w in adj[stack.pop()]:
-                    if comp[w] is None:
-                        comp[w] = label
-                        nodes.add(w)
+                u = stack.pop()
+                for aid, w, sense in touching[u]:
+                    hw = (height[u] + sense * step.get(aid, 0)) % K
+                    if w in height:
+                        if height[w] != hw:
+                            raise StripCountMismatch(
+                                f"side {side.name}: arrow {aid!r} breaks the strip cyclic order"
+                            )
+                    elif aid in step:
+                        crossed.append((w, hw))
+                    else:
+                        height[w] = hw
                         stack.append(w)
-            comps.append(nodes)
-        if len(comps) != side.K:
-            raise StripCountMismatch(
-                f"side {side.name}: {len(comps)} strips for K = {side.K}"
-            )
-        k_of = [None] * len(comps)
-        k_of[comp[q.nodes[0]]] = 0
-        order = [comp[q.nodes[0]]]
-        for step in range(1, side.K):
-            here = order[-1]
-            targets = {
-                comp[byid[a].tgt]
-                for a in end - start
-                if comp[byid[a].src] == here
-            }
-            if len(targets) != 1:
-                raise StripCountMismatch(
-                    f"side {side.name}: zag arrows out of strip {step - 1} "
-                    f"reach {len(targets)} strips"
-                )
-            (tgt,) = targets
-            if k_of[tgt] is not None:
-                raise StripCountMismatch(
-                    f"side {side.name}: zag arrows close the strip cycle early"
-                )
-            k_of[tgt] = step
-            order.append(tgt)
-
-        def strip(node):
-            return k_of[comp[node]]
-
-        for a in q.arrows:
-            if a.id in start and a.id in end:
-                ok = strip(a.src) == strip(a.tgt)
-            elif a.id in start:
-                ok = strip(a.tgt) == (strip(a.src) - 1) % side.K
-            elif a.id in end:
-                ok = strip(a.tgt) == (strip(a.src) + 1) % side.K
-            else:
-                ok = strip(a.src) == strip(a.tgt)
-            if not ok:
-                raise StripCountMismatch(
-                    f"side {side.name}: arrow {a.id!r} breaks the strip cyclic order"
-                )
+        if count != K:
+            raise StripCountMismatch(f"side {side.name}: {count} strips for K = {K}")
+        levels = len(set(height.values()))
+        if levels != K:
+            raise StripCountMismatch(f"side {side.name}: {levels} heights for K = {K}")
 
         strips = tuple(
-            frozenset(v for v in q.nodes if strip(v) == k) for k in range(side.K)
+            frozenset(v for v in q.nodes if height[v] == k) for k in range(K)
         )
         alphas = tuple(
-            tuple(1 if v in strips[k] else 0 for v in q.nodes)
-            for k in range(side.K)
+            tuple(1 if height[v] == k else 0 for v in q.nodes) for k in range(K)
         )
         zig = tuple(
-            frozenset(a for a in start - end if strip(byid[a].tgt) == k)
-            for k in range(side.K)
+            frozenset(a for a in start - end if height[byid[a].tgt] == k)
+            for k in range(K)
         )
         zag = tuple(
-            frozenset(a for a in end - start if strip(byid[a].src) == k)
-            for k in range(side.K)
+            frozenset(a for a in end - start if height[byid[a].src] == k)
+            for k in range(K)
         )
 
         paths = []
-        for k in range(side.K):
+        for k in range(K):
             path = _zigzag_path(zig[k] | zag[k], side.l, succ, byid)
             if path is None:
                 raise StripCountMismatch(

@@ -111,8 +111,8 @@ class TestBuiltins:
         assert_shipped_catalog(tmp_path)
 
     def test_make_catalog_reproduces_catalog_under_optimize(self, tmp_path):
-        # python -O strips assert statements; the tool orients pdp3a on its
-        # checks, so they must still run there
+        # python -O strips assert statements; the tool's checks raise
+        # CheckFailed instead, so they still run there
         script = (
             "import importlib.util, sys\n"
             "from pathlib import Path\n"
@@ -308,6 +308,26 @@ class TestTilingConversion:
         with pytest.raises(ValidationError):
             load_geometry(write(tmp_path, bad))
 
+    def test_empty_tiling_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="^tiling has no nodes$"):
+            load_geometry(write(tmp_path, {"nodes": [], "edges": []}))
+
+    def test_disconnected_tiling_rejected(self, tmp_path):
+        # two honeycomb cells that share no edge
+        second = {
+            "nodes": [
+                {"id": "w2", "color": "white", "pos": [0.25, 0.75]},
+                {"id": "b2", "color": "black", "pos": [0.75, 0.25]},
+            ],
+            "edges": [
+                {"white": "w2", "black": "b2", "shift": shift}
+                for shift in ([0, 0], [-1, 0], [0, -1])
+            ],
+        }
+        both = {key: HONEYCOMB[key] + second[key] for key in ("nodes", "edges")}
+        with pytest.raises(ValidationError, match="^tiling graph is not connected$"):
+            load_geometry(write(tmp_path, both))
+
 
 class TestQuiverValidation:
     def base(self):
@@ -355,6 +375,24 @@ class TestQuiverValidation:
         ]
         with pytest.raises(ValidationError):
             load_geometry(write(tmp_path, obj2))
+
+    def test_empty_quiver_rejected(self, tmp_path):
+        empty = {"nodes": [], "arrows": [], "potential": []}
+        with pytest.raises(ValidationError, match="^quiver has no nodes$"):
+            load_geometry(write(tmp_path, empty))
+
+    def test_not_strongly_connected(self, tmp_path):
+        # two one-node C^3 quivers side by side, with no arrow between them
+        obj = {"nodes": [0, 1], "arrows": [], "potential": []}
+        for v in (0, 1):
+            for name, disp in (("a", [1, 0]), ("b", [0, 1]), ("c", [-1, -1])):
+                obj["arrows"].append({"id": f"{name}{v}", "src": v, "tgt": v, "disp": disp})
+            obj["potential"] += [
+                {"sign": 1, "cycle": [f"a{v}", f"b{v}", f"c{v}"]},
+                {"sign": -1, "cycle": [f"a{v}", f"c{v}", f"b{v}"]},
+            ]
+        with pytest.raises(ValidationError, match="^quiver is not strongly connected$"):
+            load_geometry(write(tmp_path, obj))
 
     def test_bool_disp(self, tmp_path):
         # True == 1, so a bool would read as a displacement of 1

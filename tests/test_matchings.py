@@ -565,6 +565,16 @@ class TestZigZag:
             a + b for a, b in zip(sz.alphas[2], sz.alphas[0])
         )
         assert sz.arc(1, 1) == zz.delta
+        assert sz.arc(0, 3) == sz.arc(3, 3) == zz.delta
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_arc_reads_indices_mod_k(self, name):
+        q, d, zz = analyze(name)
+        for sz in zz.sides:
+            K = sz.side.K
+            for k in range(-2 * K, 2 * K + 1):
+                for kp in range(-2 * K, 2 * K + 1):
+                    assert sz.arc(k, kp) == sz.arc(k % K, kp % K), (k, kp)
 
     def test_every_side_matches_the_fixture(self):
         want = json.loads(ZIGZAG_FIXTURE.read_text())["cases"]
@@ -611,4 +621,20 @@ class TestZigZag:
         )
         bad = dataclasses.replace(d, sides=bad_sides)
         with pytest.raises(StripCountMismatch):
+            zigzag_analysis(q, bad)
+
+    @pytest.mark.parametrize(
+        "K, message",
+        [(1, "side z.: 3 strips for K = 1"), (2, "breaks the strip cyclic order")],
+    )
+    def test_tampered_k_trips_a_strip_check(self, K, message):
+        # pdp3a's K = 3 side has three strips: read mod 1 their heights all
+        # agree, so only the count differs; read mod 2 a zag arrow breaks
+        q = load_geometry("pdp3a")
+        d = toric_diagram(q)
+        bad_sides = tuple(
+            dataclasses.replace(s, K=K) if s.K == 3 else s for s in d.sides
+        )
+        bad = dataclasses.replace(d, sides=bad_sides)
+        with pytest.raises(StripCountMismatch, match=message):
             zigzag_analysis(q, bad)

@@ -6,11 +6,10 @@ are rewritten in a basis of the period sublattice.  The conifold and the
 two-node layered orbifold are written down directly.  The suspended pinch
 point is produced by dualizing its tiling, then renaming faces and arrows.
 
-Every entry is validated before freezing: counts, diagram invariants, and
-the strip fixtures that pin the diagram orientation.  If an entry comes out
-mirror-imaged, its displacements are reflected (axis swap) and rechecked.
-The checks raise ``CheckFailed`` rather than assert, so ``python -O``
-writes the same files.
+Every entry is built in its final orientation and must pass its checks
+as built: counts, diagram invariants, and the strip fixtures that pin the
+diagram orientation.  The checks raise ``CheckFailed`` rather than assert,
+so they also run under ``python -O``, which writes the same files.
 
 Run from the repository root:  PYTHONPATH=src python3 tools/make_catalog.py
 """
@@ -32,7 +31,7 @@ E1, E2 = (1, 0), (0, 1)
 
 class CheckFailed(Exception):
     """An entry failed a check.  Raised, not asserted, so that the checks
-    and the orientation that rests on them also run under ``python -O``."""
+    also run under ``python -O``."""
 
 
 def require(ok, what):
@@ -118,7 +117,7 @@ def build_pdp3a():
         list(range(6)),
         lambda v: (v[0] + 3 * v[1]) % 6,
         {k: (k, 0) for k in range(6)},
-        ((3, 1), (0, 2)),
+        ((0, 2), (3, 1)),
         lambda fam, s, t: f"{fam_cut[fam]}_{s}{t}",
     )
 
@@ -319,14 +318,6 @@ def check_c2z2xc(obj):
     require((d.b, d.i_int) == (4, 0), "c2z2-x-c point counts")
 
 
-def flip(obj):
-    out = json.loads(json.dumps(obj))
-    for a in out["arrows"]:
-        x, y = a["disp"]
-        a["disp"] = [y, x]
-    return out
-
-
 ENTRIES = [
     ("c3", build_c3, check_c3),
     ("conifold", build_conifold, check_conifold),
@@ -342,16 +333,10 @@ def main():
     OUT.mkdir(parents=True, exist_ok=True)
     for name, build, check in ENTRIES:
         obj = build()
-        oriented = "as built"
-        try:
-            check(obj)
-        except CheckFailed:
-            obj = flip(obj)
-            check(obj)
-            oriented = "reflected"
+        check(obj)
         path = OUT / f"{name}.json"
         path.write_text(json.dumps(obj, indent=1) + "\n")
-        print(f"{name}: {len(obj['nodes'])} nodes, {len(obj['arrows'])} arrows ({oriented})")
+        print(f"{name}: {len(obj['nodes'])} nodes, {len(obj['arrows'])} arrows")
     return 0
 
 
