@@ -215,6 +215,19 @@ class PeriodicQuiver:
         return {a.id: a for a in self.arrows}
 
     @functools.cached_property
+    def moves(self) -> dict:
+        """Node -> one step along each arrow out of it and against each
+        arrow into it, as (arrow id, +1 along or -1 against, far node, dx,
+        dy), the displacement taken in the step's direction."""
+
+        moves: dict = {v: [] for v in self.nodes}
+        for a in self.arrows:
+            dx, dy = a.disp
+            moves[a.src].append((a.id, 1, a.tgt, dx, dy))
+            moves[a.tgt].append((a.id, -1, a.src, -dx, -dy))
+        return moves
+
+    @functools.cached_property
     def _euler_form(self) -> tuple:
         n = len(self.nodes)
         idx = self.node_index

@@ -13,7 +13,9 @@ combinatorics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -116,6 +118,7 @@ def _shortest_chain(q: PeriodicQuiver, goal: Vec):
     translate by ``goal`` in the universal cover.  Steps are (arrow id, ±1)
     with -1 for a backward traversal."""
 
+    moves = q.moves  # the lex-least candidate wins whatever the scan order
     base = q.nodes[0]
     start = (base, (0, 0))
     target = (base, goal)
@@ -126,21 +129,14 @@ def _shortest_chain(q: PeriodicQuiver, goal: Vec):
             return best[target]
         grown: dict = {}
         for state in frontier:
-            node, t = state
+            node, (x, y) = state
             path = best[state]
-            for a in q.arrows:
-                if a.src == node:
-                    ns = (a.tgt, (t[0] + a.disp[0], t[1] + a.disp[1]))
-                    if ns not in best:
-                        cand = path + ((a.id, 1),)
-                        if ns not in grown or cand < grown[ns]:
-                            grown[ns] = cand
-                if a.tgt == node:
-                    ns = (a.src, (t[0] - a.disp[0], t[1] - a.disp[1]))
-                    if ns not in best:
-                        cand = path + ((a.id, -1),)
-                        if ns not in grown or cand < grown[ns]:
-                            grown[ns] = cand
+            for aid, sign, far, dx, dy in moves[node]:
+                ns = (far, (x + dx, y + dy))
+                if ns not in best:
+                    cand = path + ((aid, sign),)
+                    if ns not in grown or cand < grown[ns]:
+                        grown[ns] = cand
         best.update(grown)
         frontier = list(grown)
     raise ValidationError("arrow displacements do not reach the requested homology class")
@@ -156,26 +152,47 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     mask; its bit count is its depth.  A state is dropped when a free
     column lies out of reach of every remaining term.
 
+    Each partial cut is one int, its code.  With L arrows, the arrow of
+    sorted rank r on bit L - 1 - r of the arrow mask, and the point (x, y)
+    the sum of the arrows' chain counts chi = (chi_0, chi_1),
+
+        code = ((x + s) * R + (y + s)) * 2^L + (2^L - 1 - mask),
+
+    where s = sum over all arrows of |chi_0| + |chi_1| bounds |x| and |y|,
+    and R = 2s + 1.  So the low L bits never borrow from the point, and
+    y + s never carries into x.  An arrow adds ((chi_0 * R + chi_1) << L)
+    minus its bit to a code.  A prefix and its completion use disjoint
+    arrows, whose bits are distinct, so their sum of bits is the or of
+    their masks, and a cut's code is its prefix's code plus its
+    completion's summed arrow ints.  Sorting the codes sorts the cuts by
+    point and then by mask descending.  Equal-size arrow sets compare as
+    their sorted id tuples do exactly when their masks compare in
+    reverse: the first place two sorted tuples differ holds the least
+    arrow in only one of the sets, on the higher bit.
+
     The search splits at depth h = min(n, n // 2 + 1) of the n terms.
-    Above h it runs depth first, carrying the running point and arrow
-    mask, and remembers only dead states (those with no completion), as
-    bare masks.  From h on it reads a table that holds, once per mask,
-    every completion as (arrow mask, point offset); a cut's mask is its
-    prefix's mask or'ed with a completion's, and the two share no bit.
-    Many prefixes share few masks near the end: on C^3/Z_5 x Z_5 the
-    plain depth-first search made 80,166 calls for 7,623 cuts, 6,636 to
-    7,626 at each of the depths 19 to 24, where at most 25 masks exist at
-    depth 24.  h near n / 2 measured at or near the fastest split, on
-    C^3/Z_5 x Z_5 (h = 13 of 25) and on C^3/Z_6 x Z_6 (h = 19 of 36).
+    Above h it runs depth first, carrying the running mask of used columns
+    and code, and remembers only dead states (those with no completion),
+    as bare masks.  From h on it reads a table that holds, once per mask,
+    every completion as one summed int.  Many prefixes share few masks
+    near the end: on C^3/Z_5 x Z_5 the plain depth-first search made
+    80,166 calls for 7,623 cuts, 6,636 to 7,626 at each of the depths 19
+    to 24, where at most 25 masks exist at depth 24.  The split search
+    makes 8,756 calls above h and 8,707 table reads, and on C^3/Z_6 x Z_6
+    162,539 and 93,934.  h near n / 2 measured at or near the fastest
+    split: on C^3/Z_5 x Z_5 (h = 13 of 25) every h from 10 to 14 read
+    within noise, and on C^3/Z_6 x Z_6 (h = 19 of 36) 17 and 21 were 5%
+    and 11% slower.
 
     The table stays small beside the cuts it yields: 4,494 masks and
     4,024 completions on C^3/Z_5 x Z_5, 28,904 and 40,967 on
     C^3/Z_6 x Z_6 (263,640 cuts).  A cut is one ``Cut`` tuple, its mask
     and a point tuple shared by every cut at that lattice point; no arrow
-    set is built.  The peak traced memory of one call is 2.7 MiB on
-    C^3/Z_5 x Z_5, of which the returned cuts hold 1.0 MiB, and 68 MiB on
-    C^3/Z_6 x Z_6, of which the cuts hold 31 MiB (with a frozenset per
-    cut these were 14.4, 9.9, 414 and 340 MiB).
+    set is built.  The peak traced memory of one call is 2.0 MiB on
+    C^3/Z_5 x Z_5, of which the returned cuts hold 0.9 MiB, and 50 MiB on
+    C^3/Z_6 x Z_6, of which the cuts hold 30 MiB (with a (mask, x, y)
+    tuple per partial cut these were 2.7 and 68 MiB, and with a frozenset
+    per cut 14.4 and 414 MiB).
 
     NoCutError names the cause: unequal positive and negative term counts,
     a term whose every arrow repeats inside one of its terms, or no
@@ -202,20 +219,21 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
     for k, goal in enumerate(((1, 0), (0, 1))):
         for aid, sign in _shortest_chain(q, goal):
             chi[aid][k] += sign
-    # A cut's sort key is the sum of its arrows' weights, the least id on the
-    # highest bit.  Equal-size arrow sets compare as their sorted id tuples
-    # do exactly when their keys compare in reverse: the first place two
-    # sorted tuples differ holds the least arrow in only one of the sets.
-    # The key is also the cut's ``Cut.mask``.
     ids = tuple(sorted(chi))
-    weight = {aid: 1 << (len(ids) - 1 - r) for r, aid in enumerate(ids)}
+    L = len(ids)
+    s = sum(abs(x) + abs(y) for x, y in chi.values())
+    R = 2 * s + 1
+    arrow_code = {  # its point up high, minus its mask bit
+        aid: ((chi[aid][0] * R + chi[aid][1]) << L) - (1 << (L - 1 - r))
+        for r, aid in enumerate(ids)
+    }
     options = [
-        [(column[a], weight[a], *chi[a]) for a in sorted(set(cyc) - repeated)]
+        [(column[a], arrow_code[a]) for a in sorted(set(cyc) - repeated)]
         for cyc in pos
     ]
     reach = [0] * n  # the columns each term can take
     for t, opts in enumerate(options):
-        for bit, *_ in opts:
+        for bit, _ in opts:
             reach[t] |= bit
     order, taken, left = [], 0, list(range(n))
     while left:
@@ -229,9 +247,9 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
         out_of_reach[d] = out_of_reach[d + 1] & ~reach[order[d]]
     sweep = [options[t] for t in order]
     split = min(n, n // 2 + 1)
-    # tails[m]: the completions of a used-column mask m of depth at least
-    # split, as (key bits, x, y); the full mask has one, the empty one
-    tails: dict[int, list] = {(1 << n) - 1: [(0, 0, 0)]}
+    # tails[m]: the summed arrow ints of every completion of a used-column
+    # mask m of depth at least split; the full mask has one, the empty sum
+    tails: dict[int, list] = {(1 << n) - 1: [0]}
 
     def tail(mask: int) -> list:
         out = tails.get(mask)
@@ -240,37 +258,38 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
         out = tails[mask] = []
         depth = mask.bit_count()
         unreached = out_of_reach[depth + 1]
-        for bit, w, dx, dy in sweep[depth]:
+        for bit, w in sweep[depth]:
             m = mask | bit
             if m == mask or unreached & ~m:
                 continue
-            out += [(k | w, x + dx, y + dy) for k, x, y in tail(m)]
+            out += [w + t for t in tail(m)]
         return out
 
     found: list = []
     dead: set[int] = set()  # masks above split with no completion
 
-    def grow(depth: int, mask: int, key: int, x: int, y: int) -> bool:
+    def grow(depth: int, mask: int, code: int) -> bool:
         alive = False
         unreached = out_of_reach[depth + 1]
-        for bit, w, dx, dy in sweep[depth]:
+        for bit, w in sweep[depth]:
             m = mask | bit
             if m == mask or unreached & ~m or m in dead:
                 continue
             if depth + 1 < split:
-                if grow(depth + 1, m, key | w, x + dx, y + dy):
+                if grow(depth + 1, m, code + w):
                     alive = True
                 else:
                     dead.add(m)
                 continue
             rest = tail(m)
             if rest:
-                k0, x0, y0 = key | w, x + dx, y + dy
-                found.extend([(x0 + x1, y0 + y1, -(k0 | k1)) for k1, x1, y1 in rest])
+                c = code + w
+                found.extend([c + t for t in rest])
                 alive = True
         return alive
 
-    alive = grow(0, 0, 0, 0, 0)
+    low = (1 << L) - 1
+    alive = grow(0, 0, ((s * R + s) << L) + low)
     # Each closure holds itself through its cell; dropping both names frees
     # them, and with them the tables and the search's references, now
     # rather than at the next cycle collection.
@@ -281,8 +300,9 @@ def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
             f" cannot pair the {n} positive terms one to one with the negative terms"
         )
     found.sort()
-    new, point = tuple.__new__, {}  # one point tuple per lattice point
-    return [new(Cut, (-key, point.setdefault((x, y), (x, y)), ids)) for x, y, key in found]
+    point = {k: (k // R - s, k % R - s) for k in {c >> L for c in found}}
+    new = tuple.__new__
+    return [new(Cut, (~c & low, point[c >> L], ids)) for c in found]
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +336,13 @@ def _hull(points: list[Vec]) -> list[Vec]:
 
 
 def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
-    points: dict[Vec, list[Cut]] = {}
-    for c in q.cuts:
-        points.setdefault(c.point, []).append(c)
+    # the cuts are sorted by point, so each lattice point holds one run
+    cuts, points, i = q.cuts, {}, 0
+    while i < len(cuts):
+        p = cuts[i].point
+        j = bisect_right(cuts, p, i, key=attrgetter("point"))
+        points[p] = cuts[i:j]
+        i = j
     ccw = _hull(list(points))
     corners = tuple([ccw[0]] + ccw[:0:-1])  # clockwise from the lex-least corner
     corner_cut = {}
@@ -362,7 +386,7 @@ def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
                 i_int += 1
     return ToricDiagramData(
         cuts=q.cuts,
-        points={p: tuple(cs) for p, cs in points.items()},
+        points=points,
         corners=corners,
         sides=tuple(sides),
         b=b,
@@ -472,11 +496,7 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
     byid = q.arrow_by_id
     delta = (1,) * len(q.nodes)
     succ = {1: _successor(q, 1), -1: _successor(q, -1)}
-    # node -> (arrow id, far end, +1 along the arrow or -1 against it)
-    touching: dict = {v: [] for v in q.nodes}
-    for a in q.arrows:
-        touching[a.src].append((a.id, a.tgt, 1))
-        touching[a.tgt].append((a.id, a.src, -1))
+    moves = q.moves
 
     sides = []
     for side in diagram.sides:
@@ -494,7 +514,7 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
             stack = [v]
             while stack:
                 u = stack.pop()
-                for aid, w, sense in touching[u]:
+                for aid, sense, w, _, _ in moves[u]:
                     hw = (height[u] + sense * step.get(aid, 0)) % K
                     if w in height:
                         if height[w] != hw:

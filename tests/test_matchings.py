@@ -3,7 +3,8 @@
 Cut lists are cross-checked against two other searches: an exhaustive
 combination search for the cut sets, and an exact-cover search, which
 shares only the homology chains with the matching search, for the ordered
-cuts and their points.  The strip fixtures for the six-node orbifold and
+cuts and their points; the chains are checked against a search that scans
+every arrow at each step.  The strip fixtures for the six-node orbifold and
 the suspended pinch point are frozen arrow-by-arrow; they pin the global
 zig/zag orientation convention, so a sign slip anywhere in the diagram
 code shows up here.  ``fixtures/zigzag.json`` pins the paths, strips,
@@ -105,6 +106,49 @@ def exact_cover_cuts(q):
         for s in solutions
     ]
     return sorted(out, key=lambda c: (c[1], tuple(sorted(c[0]))))
+
+
+def full_scan_chain(q, goal):
+    """``_shortest_chain`` as it was first written: each state of the
+    breadth-first search scans every arrow of the quiver for one that
+    starts or ends at its node."""
+
+    base = q.nodes[0]
+    start = (base, (0, 0))
+    target = (base, goal)
+    best = {start: ()}
+    frontier = [start]
+    for _ in range(4 * len(q.arrows) + 8):
+        if target in best:
+            return best[target]
+        grown = {}
+        for state in frontier:
+            node, t = state
+            path = best[state]
+            for a in q.arrows:
+                if a.src == node:
+                    ns = (a.tgt, (t[0] + a.disp[0], t[1] + a.disp[1]))
+                    if ns not in best:
+                        cand = path + ((a.id, 1),)
+                        if ns not in grown or cand < grown[ns]:
+                            grown[ns] = cand
+                if a.tgt == node:
+                    ns = (a.src, (t[0] - a.disp[0], t[1] - a.disp[1]))
+                    if ns not in best:
+                        cand = path + ((a.id, -1),)
+                        if ns not in grown or cand < grown[ns]:
+                            grown[ns] = cand
+        best.update(grown)
+        frontier = list(grown)
+    raise AssertionError("no chain")
+
+
+CHAIN_GOALS = ((1, 0), (0, 1), (-1, 1))
+
+# every 2x2 integer matrix with entries in [-3, 3] and determinant +-1
+UNIMODULAR = [
+    m for m in itertools.product(range(-3, 4), repeat=4) if abs(m[0] * m[3] - m[1] * m[2]) == 1
+]
 
 
 def loops(disps, potential):
@@ -218,11 +262,36 @@ class TestCuts:
             k = data.draw(st.integers(0, len(term["cycle"]) - 1))
             term["cycle"] = term["cycle"][k:] + term["cycle"][:k]
         permuted = quiver(obj)
+        for goal in CHAIN_GOALS:
+            assert _shortest_chain(permuted, goal) == full_scan_chain(permuted, goal)
         assert [(c.arrows, c.point) for c in permuted.cuts] == [
             (c.arrows, c.point) for c in q.cuts
         ]
         # the mask bits follow the sorted ids, not the arrow order
         assert permuted.cut_weight == q.cut_weight
+
+    @pytest.mark.parametrize("source", ZIGZAG_SOURCES)
+    def test_shortest_chain_matches_full_scan(self, source):
+        # exact_cover_cuts reads its points through the same chains, so
+        # only this compares them with a search written another way
+        q = load(source)
+        for goal in CHAIN_GOALS:
+            assert _shortest_chain(q, goal) == full_scan_chain(q, goal)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(builtin_names() + (3, 4)), st.sampled_from(UNIMODULAR))
+    def test_frame_change_keeps_the_cuts(self, source, m):
+        # the new frame moves the points to negative and larger
+        # coordinates, which the search's int code must still separate
+        q = load(source)
+        obj = q.to_json_dict()
+        for arrow in obj["arrows"]:
+            x, y = arrow["disp"]
+            arrow["disp"] = [m[0] * x + m[1] * y, m[2] * x + m[3] * y]
+        moved = quiver(obj)
+        cuts = perfect_matchings(moved)
+        assert [(c.arrows, c.point) for c in cuts] == exact_cover_cuts(moved)
+        assert {c.arrows for c in cuts} == {c.arrows for c in q.cuts}
 
     @pytest.mark.parametrize("source", ["c3", "pdp3a", 4])
     def test_search_leaves_no_cycle_behind(self, source):
@@ -268,8 +337,9 @@ class TestCuts:
         )
 
     def test_search_memory(self):
-        # one call peaks at 2.7 MiB and returns 1.0 MiB of cuts; with a
-        # frozenset per cut these were 14.4 and 9.9 MiB
+        # one call peaks at 2.0 MiB and returns 0.9 MiB of cuts; with a
+        # (mask, x, y) tuple per partial cut these were 2.7 and 1.0 MiB,
+        # and with a frozenset per cut 14.4 and 9.9 MiB
         q = load(5)
         gc.collect()
         tracemalloc.start()
