@@ -1,12 +1,13 @@
 """Atom posets for framed quivers and molten-crystal enumeration.
 
-A framing picks a starting node and a set of usable arrows.  Repeatedly
-applying arrows to the root atom sweeps out the empty room configuration:
-each atom is identified by its color together with the accumulated weight
-(translation, cut depth) of any path reaching it, since paths of equal
-weight and source coincide in the Jacobian algebra.  Molten crystals are
-the finite downward-closed subsets of this poset; their dimension vectors
-count atoms per color.
+A framing picks a starting node, a set of usable arrows and the arrows
+that join the framing node to the quiver.  Repeatedly applying arrows to
+the root atom sweeps out the empty room configuration: each atom is
+identified by its color together with the accumulated weight (translation,
+cut depth) of any path reaching it, since paths of equal weight and source
+coincide in the Jacobian algebra.  Molten crystals are the finite
+downward-closed subsets of this poset; their dimension vectors count atoms
+per color.
 
 Atoms are graded by cut count: an arrow weighs the number of cuts that
 hold it, and an atom's grade is the weight of a path from the root to it.
@@ -55,14 +56,21 @@ class Framing:
     vanishes, the seed arrow (a cut arrow crossed by boundary paths of
     both adjacent sides) names the framed node, and atoms grow in the
     wedge left over.
+
+    ``arrows`` lists the arrows that join the framing node, which has one
+    state of weight zero, to the quiver, as (src, tgt, disp) triples with
+    None for the framing node.  Every framing has the framing arrow
+    (None, node, (0, 0)); a D4 framing also has the companion arrow
+    (seed.tgt, None, -seed.disp), so that the framing arrow, the seed arrow
+    and the companion close a cycle of displacement zero.
     """
 
     kind: str
     node: object
     allowed: frozenset
+    arrows: tuple
     corner: int | None = None
     seed: str | None = None
-    companion: object | None = None
 
 
 def framing_d6(q: PeriodicQuiver, node) -> Framing:
@@ -70,10 +78,11 @@ def framing_d6(q: PeriodicQuiver, node) -> Framing:
     at = q.node_index.get(node)
     if at is None or type(q.nodes[at]) is not type(node):
         raise ValidationError(f"framing_d6: node {node!r} is not a quiver node")
-    return Framing(kind="d6", node=node, allowed=frozenset(a.id for a in q.arrows))
+    allowed = frozenset(a.id for a in q.arrows)
+    return Framing(kind="d6", node=node, allowed=allowed, arrows=((None, node, (0, 0)),))
 
 
-def valid_seed_arrows(q: PeriodicQuiver, diagram, corner: int) -> frozenset:
+def valid_seed_arrows(diagram, corner: int) -> frozenset:
     """Cut arrows at the corner crossed by boundary paths of both sides."""
 
     # side k runs from corner k to corner k + 1
@@ -89,7 +98,7 @@ def framing_d4(q: PeriodicQuiver, diagram, corner: int, seed: str | None = None)
             f"corner index {corner} out of range 0..{len(diagram.corners) - 1}"
         )
     cut = diagram.sides[corner].start_cut.arrows
-    valid = valid_seed_arrows(q, diagram, corner)
+    valid = valid_seed_arrows(diagram, corner)
     if seed is None:
         seed = min(valid)
     elif seed not in valid:
@@ -98,13 +107,14 @@ def framing_d4(q: PeriodicQuiver, diagram, corner: int, seed: str | None = None)
             f" (valid: {sorted(valid)})"
         )
     arrow = q.arrow_by_id[seed]
+    dx, dy = arrow.disp
     return Framing(
         kind="d4",
         node=arrow.src,
         allowed=frozenset(a.id for a in q.arrows) - cut,
+        arrows=((None, arrow.src, (0, 0)), (arrow.tgt, None, (-dx, -dy))),
         corner=corner,
         seed=seed,
-        companion=arrow.tgt,
     )
 
 

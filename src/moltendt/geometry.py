@@ -169,6 +169,12 @@ class PeriodicQuiver:
         for a in arrows:
             if a.src not in nodeset or a.tgt not in nodeset:
                 raise ValidationError(f"arrow {a.id!r} endpoint is not a node")
+            # True == 1 and 1.0 == 1, so the types are checked
+            d = a.disp
+            if type(d) is not tuple or len(d) != 2 or not all(type(c) is int for c in d):
+                raise ValidationError(
+                    f"arrow {a.id!r} displacement {d!r} is not a pair of ints"
+                )
         membership: dict[str, list[int]] = {i: [0, 0] for i in ids}
         for sign, cycle in potential:
             # True == 1, so the type is checked first

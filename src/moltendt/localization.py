@@ -13,15 +13,18 @@ crystal once and updates the index by the weight pairs each new atom adds.
 It reads the atoms as the numbers ``build_erc`` gave them, and their
 successors and predecessor counts from its lists.  The gauge weights
 cancel in pairs, a - b against b - a, so only the arrow weights reach the
-index.  Each candidate atom carries its index change down the walk,
-gaining one memoised pair term per atom added; its pairs with the framing
-node are a per-atom constant.  An atom that becomes addable sums its
-memoised pairs with the atoms of the current crystal, which the walk keeps
-as one stack: the pair term is symmetric in its two atoms, so one memo, a
-row per atom, serves both counts.  The last level is counted in its
-parent's loop.  The counts are read back in one pass over their sorted
-keys, which lists Z's terms in order.  ``enumerate_crystals`` and
-``index`` remain as the reference path that the walk is tested against.
+index.  The framing node is one more node, with one atom of weight zero
+that every crystal holds; the framing lists its arrows, and they are
+paired like the quiver's.  Each candidate atom carries its index change
+down the walk, gaining one memoised pair term per atom added.  An atom is
+set up, in one place, when it first becomes addable; it then sums its
+memoised pairs with the framing atom and with the atoms of the current
+crystal, which the walk keeps as one stack: the pair term is symmetric in
+its two atoms, so one memo, a row per atom, serves both counts.  The last
+level is counted in its parent's loop.  The counts are read back in one
+pass over their sorted keys, which lists Z's terms in order.
+``enumerate_crystals`` and ``index`` remain as the reference path that the
+walk is tested against.
 
 Weights here live in the displacement plane: the reference-cut depth is
 invisible to the acting torus because it preserves the potential, so the
@@ -100,6 +103,11 @@ def parse_interval(diagram: ToricDiagramData, text: str) -> tuple:
 
 
 def _interval_run(diagram: ToricDiagramData, interval) -> set:
+    if isinstance(interval, str):
+        raise InvalidInterval(
+            f"interval {interval!r} is a string: an interval is a sequence of"
+            ' side names, and parse_interval reads "za..zb"'
+        )
     names = [s.name for s in diagram.sides]
     wanted = []
     for z in interval:
@@ -125,8 +133,8 @@ def make_slope(
 ) -> Slope:
     """Smallest slope realizing a side sign pattern.
 
-    With ``interval``: sign is -1 exactly on the named contiguous run of
-    sides and +1 on the rest.  With ``corner``: sign is +1 on the two
+    With ``interval``, a sequence of side names: sign is -1 exactly on the
+    named contiguous run of sides and +1 on the rest.  With ``corner``: sign is +1 on the two
     sides meeting at that corner.  Candidates are scanned by |s|^2, then
     lexicographically; the tie-breaker is the quarter-turn of s.
 
@@ -204,12 +212,7 @@ class IndexReport:
 def _framed_steps(q: PeriodicQuiver, framing: Framing):
     """Arrow data (src, tgt, disp) with the framing node spelled None."""
 
-    steps = [(a.src, a.tgt, a.disp) for a in q.arrows]
-    steps.append((None, framing.node, (0, 0)))
-    if framing.kind == "d4":
-        dx, dy = q.arrow_by_id[framing.seed].disp
-        steps.append((framing.companion, None, (-dx, -dy)))
-    return steps
+    return [(a.src, a.tgt, a.disp) for a in q.arrows] + list(framing.arrows)
 
 
 def index(
@@ -298,26 +301,29 @@ def framed_partition_function(
     The gauge part of the index drops out: ``Slope.sign`` is antisymmetric,
     so the same-colour pairs (a, b) and (b, a) cancel and the index is
     d1_plus - d1_minus.  Adding y to S adds the arrow weights that involve
-    y, so the index grows by delta(y | S) = fixed(y) + sum over a in S of
-    pair(a, y).  fixed(y) holds y's pairs with itself along loop arrows and
-    with the framing node's one state along the framing and D4 companion
-    arrows; pair(a, y) signs the weights of the arrows between a's colour
-    and y's, both ways.  The slope becomes the integer key s.t * m + s'.t,
-    with m larger than any |s'.w| that occurs, so a sign is one integer
-    comparison.
+    y, so the index grows by delta(y | S) = base(y) + sum over a in S of
+    pair(a, y).  The framing node is colour n, with one atom f of key 0,
+    numbered after the sweep's atoms and never added: every crystal holds
+    it, and ``framing.arrows`` join the quiver's arrows in the same tables.
+    base(y) = fixed(c) + pair(f, y), where fixed(c) holds the dimension
+    step of y's colour c and y's pairs with itself along loop arrows, and
+    pair(f, y) its pairs with f along the framing and companion arrows;
+    pair(a, y) signs the weights of the arrows between a's colour and y's,
+    both ways.
+    The slope becomes the integer key s.t * m + s'.t, with m larger than any
+    |s'.w| that occurs, so a sign is one integer comparison.
 
     Deltas are carried down the walk: a candidate y that passes from S to
     S + x gains pair(x, y), one lookup.  pair(x, y) depends on the two atoms
     only, so it is computed once per call, when first needed, and kept in
     x's row: a dict, held in a list by atom number, that computes a missing
-    entry itself.  An atom's row is made when it first becomes addable.
-    Only an atom that x makes addable is counted from scratch, as fixed(y)
-    plus its pairs with the atoms held, a stack the walk pushes x onto on
-    the way down and pops on the way back.  Those pairs come from y's own
-    row, because pair is symmetric: with w = key(y) - key(x), pair(x, y)
-    sums sgn(w - kd) over the arrows from x's colour to y's and
-    sgn(-w - kd) over the arrows back, and swapping x and y sends w to -w
-    and swaps the two arrow lists.
+    entry itself.  Only an atom that x makes addable is counted from
+    scratch, as base(y) plus its pairs with the atoms held, a stack the walk
+    pushes x onto on the way down and pops on the way back.  Those pairs
+    come from y's own row, because pair is symmetric: with
+    w = key(y) - key(x), pair(x, y) sums sgn(w - kd) over the arrows from
+    x's colour to y's and sgn(-w - kd) over the arrows back, and swapping x
+    and y sends w to -w and swaps the two arrow lists.
 
     A crystal is counted as soon as its atom is chosen, under the one int
     span * key(d) + index, key(d) the dimension key of the ``qspace``
@@ -326,8 +332,10 @@ def framed_partition_function(
     step.  The last level is fused: the children of a crystal of bound - 1
     atoms are counted in the loop that chose its last atom, so leaves are
     never built.  The atoms are the numbers ``build_erc`` gave them: the
-    walk reads their successors and predecessor counts from its lists, and
-    one pass over its atoms gives each its key and constant.  At the end
+    walk reads their successors and predecessor counts from its lists.  An
+    atom is set up in one place, ``fresh``, the first time it becomes
+    addable: its key, its row and base(y), read from that row, are made
+    there, so an atom the walk never reaches is never set up.  At the end
     one int sort of the counts lists them in term order, then index order;
     a count's int splits into its dimension key and index, a new
     coefficient starts where the key changes, and each key is decoded
@@ -339,8 +347,11 @@ def framed_partition_function(
     arrows = _framed_steps(q, framing)
 
     n = len(q.nodes)
-    color = q.node_index
-    colors = erc.colors
+    # the framing node is colour n, with one atom, of key 0, numbered after
+    # the sweep's atoms
+    color = {**q.node_index, None: n}
+    frame = len(erc.by_number)
+    colors = erc.colors + [n]
     (sx, sy), (tx, ty) = slope.s, slope.sp
     # an atom the walk compares sits in a crystal of at most bound atoms,
     # which holds a chain of arrows from the root to it, so |s'.t| is at
@@ -359,48 +370,37 @@ def framed_partition_function(
         _dim_key([int(i == c) for i in range(n)], radix) * span for c in range(n)
     ]
     # between[a][b] and back[b][a]: the keys of the arrows from colour a to b
-    between = [[[] for _ in range(n)] for _ in range(n)]
-    back = [[between[a][b] for a in range(n)] for b in range(n)]
-    framed = [[] for _ in range(n)]
+    between = [[[] for _ in range(n + 1)] for _ in range(n + 1)]
+    back = [[between[a][b] for a in range(n + 1)] for b in range(n + 1)]
     for src, tgt, (dx, dy) in arrows:
+        cs, ct = color[src], color[tgt]
         kd = (sx * dx + sy * dy) * m + tx * dx + ty * dy
-        if src is None:
-            framed[color[tgt]].append((1, kd))
-        elif tgt is None:
-            framed[color[src]].append((-1, kd))
-        else:
-            cs, ct = color[src], color[tgt]
-            between[cs][ct].append(kd)
-            if cs == ct:
-                fixed[cs] += (kd < 0) - (kd > 0)
+        between[cs][ct].append(kd)
+        if cs == ct:
+            fixed[cs] += (kd < 0) - (kd > 0)
 
-    # what the walk reads of an atom, by its number in the sweep: the key
-    # and the step of the atom alone, counted against the framing node's one
-    # state, of key 0, along the framing and companion arrows
-    keys, base = [], []
-    for (_, (x, y), _), c in zip(erc.by_number, colors):
-        k = (sx * x + sy * y) * m + tx * x + ty * y
-        step = fixed[c]
-        for sign, kd in framed[c]:
-            w = sign * k - kd
-            step += (w > 0) - (w < 0)
-        keys.append(k)
-        base.append(step)
+    # what the walk reads of an atom, by its number: its key, its row and
+    # its base step, all set up in fresh; the framing atom's key,
+    # keys[frame], is 0.  rows[x][y] is pair(x, y), which is also pair(y, x)
+    keys = [0] * (frame + 1)
+    rows = [None] * frame
+    base = [0] * frame
     succ = erc.succ
     missing = list(erc.npreds)
-
-    # rows[x][y] is pair(x, y), which is also pair(y, x); the row of an atom
-    # is made when the atom first becomes addable
-    rows = [None] * len(keys)
     # the atoms of the current crystal, in the order they were added
     held = []
 
     def fresh(y):
-        # the step of a newly addable atom, counted against the held atoms
+        # the step of a newly addable atom, counted against the held atoms;
+        # the first time y becomes addable it is set up, its base step the
+        # step of y alone: fixed plus its pair with the framing atom
         row = rows[y]
         if row is None:
             c = colors[y]
-            row = rows[y] = _Row(keys[y], between[c], back[c], keys, colors)
+            _, (x, z), _ = erc.by_number[y]
+            k = keys[y] = (sx * x + sy * z) * m + tx * x + ty * z
+            row = rows[y] = _Row(k, between[c], back[c], keys, colors)
+            base[y] = fixed[c] + row[frame]
         return base[y] + sum(map(row.__getitem__, held))
 
     counts = defaultdict(int)

@@ -13,6 +13,7 @@ import pytest
 from bench.workloads import orbifold_quiver
 from moltendt.crystal import (
     Crystal,
+    Framing,
     build_erc,
     enumerate_crystals,
     framing_d4,
@@ -285,6 +286,49 @@ class TestD4:
             framing_d4(q, d, 0, seed="nope")
         with pytest.raises(ValidationError):
             framing_d4(q, d, 9)
+
+    # the framing node, None, joins the quiver by the framing arrow into the
+    # framed node and, for D4, by the companion arrow from the seed's
+    # target, of displacement -seed.disp
+    @pytest.mark.parametrize(
+        "name, d6, d4",
+        [
+            (
+                "c3",
+                {0: ((None, 0, (0, 0)),)},
+                {
+                    (0, "c"): ((None, 0, (0, 0)), (0, None, (1, 1))),
+                    (1, "b"): ((None, 0, (0, 0)), (0, None, (0, -1))),
+                    (2, "a"): ((None, 0, (0, 0)), (0, None, (-1, 0))),
+                },
+            ),
+            (
+                "conifold",
+                {1: ((None, 1, (0, 0)),), 2: ((None, 2, (0, 0)),)},
+                {
+                    (0, "b2"): ((None, 2, (0, 0)), (1, None, (1, 1))),
+                    (1, "a2"): ((None, 1, (0, 0)), (2, None, (0, -1))),
+                    (2, "b1"): ((None, 2, (0, 0)), (1, None, (0, 0))),
+                    (3, "a1"): ((None, 1, (0, 0)), (2, None, (-1, 0))),
+                },
+            ),
+        ],
+    )
+    def test_framing_arrows(self, name, d6, d4):
+        q = load_geometry(name)
+        d = toric_diagram(q)
+        assert {v: framing_d6(q, v).arrows for v in q.nodes} == d6
+        got = {}
+        for k in range(len(d.corners)):
+            fr = framing_d4(q, d, k)
+            got[k, fr.seed] = fr.arrows
+        assert got == d4
+
+    def test_framing_needs_arrows(self):
+        # without its arrows a framing used to fail only inside the walk,
+        # with KeyError: None
+        with pytest.raises(TypeError, match="arrows"):
+            Framing("d4", 0, frozenset({"a", "b"}), corner=0, seed="c")
 
     def test_conifold_default_seed_per_corner(self):
         q = load_geometry("conifold")

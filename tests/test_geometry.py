@@ -20,6 +20,7 @@ import moltendt
 from moltendt import matchings
 from moltendt.errors import NoCutError, ParseError, ValidationError
 from moltendt.geometry import (
+    Arrow,
     PeriodicQuiver,
     builtin_names,
     euler_form,
@@ -400,6 +401,24 @@ class TestQuiverValidation:
         obj["arrows"][0]["disp"] = [True, 0]
         with pytest.raises(ParseError, match=r"^arrow disp .*\[True, 0\]"):
             load_geometry(write(tmp_path, obj))
+
+    # a quiver built directly took these, and toric_diagram ran on the first
+    # two; the last failed there, saying the displacements "do not reach
+    # the requested homology class"
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((1.0, 0), (-1, -1)),
+            ((True, 0), (-1, -1)),
+            ((1.5, 0), (-1.5, -1)),
+            ([1, 0], (-1, -1)),
+        ],
+    )
+    def test_direct_disp_must_be_a_pair_of_ints(self, a, c):
+        arrows = [Arrow("a", 0, 0, a), Arrow("b", 0, 0, (0, 1)), Arrow("c", 0, 0, c)]
+        terms = [(1, ("a", "b", "c")), (-1, ("a", "c", "b"))]
+        with pytest.raises(ValidationError, match="^arrow 'a' displacement "):
+            PeriodicQuiver([0], arrows, terms)
 
     def test_bool_sign(self, tmp_path):
         obj = self.base()

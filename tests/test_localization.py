@@ -13,7 +13,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bench.workloads import orbifold_quiver
-from moltendt.crystal import build_erc, enumerate_crystals, framing_d4, framing_d6
+from moltendt.crystal import (
+    build_erc,
+    enumerate_crystals,
+    framing_d4,
+    framing_d6,
+    valid_seed_arrows,
+)
 from moltendt.errors import (
     InconsistentPoset,
     InfeasiblePattern,
@@ -199,6 +205,13 @@ class TestMakeSlope:
         with pytest.raises(InvalidInterval):
             make_slope(d, interval=("z0", "nope"))
 
+    @pytest.mark.parametrize("text", ["z0..z1", "z0"])
+    def test_interval_is_not_a_string(self, text):
+        # a string was read one character at a time: "'z' is not a side"
+        q, grading, d = setting("spp")
+        with pytest.raises(InvalidInterval, match="is a string.*parse_interval"):
+            make_slope(d, interval=text)
+
     def test_parse_interval(self):
         q, grading, d = setting("spp")
         assert parse_interval(d, "z3..z1") == ("z3", "z0", "z1")
@@ -351,6 +364,29 @@ class TestWalkMatchesReference:
                     got = framed_partition_function(q, grading, fr, slope, bound)
                     want = reference_z(q, grading, fr, slope, crystals, bound)
                     assert series_to_json(got) == series_to_json(want)
+
+    def test_every_seed_of_every_d4_corner(self):
+        # the companion arrow starts at the seed's target, so each valid
+        # seed of a corner is a framing of its own: the walk must match the
+        # census at every one, not only at the default seed min(valid)
+        seen = 0
+        for name in builtin_names():
+            q, grading, d = setting(name)
+            for k in range(len(d.corners)):
+                s = make_slope(d, corner=k)
+                for seed in sorted(valid_seed_arrows(d, k)):
+                    fr = framing_d4(q, d, k, seed)
+                    seen += 1
+                    crystals = reference_crystals(q, grading, fr, 8)
+                    for bound in range(9):
+                        below = [c for c in crystals if c.size <= bound]
+                        for slope in (s, s.negated()):
+                            got = framed_partition_function(q, grading, fr, slope, bound)
+                            want = reference_z(q, grading, fr, slope, below, bound)
+                            assert series_to_json(got) == series_to_json(want), (
+                                name, k, seed, bound, slope,
+                            )
+        assert seen == 58
 
     def test_c3_deep_matches_census(self):
         # at bound 10 the walk holds up to nine atoms while it counts a

@@ -4,7 +4,8 @@ Integrity checks must raise typed ``MoltenDTError``s: ``python -O``
 strips ``assert`` statements, so an assert in the package is a check
 that silently stops running.  Every error class the package declares
 must also be raised somewhere in it: a class that nothing raises promises
-a check that does not exist.  No module imports a name it never reads.
+a check that does not exist.  No module imports a name it never reads, and
+no function takes a parameter it never reads.
 The change log stays a readable size with each entry written once.
 """
 
@@ -81,6 +82,43 @@ def test_package_has_no_unused_imports():
         for name in sorted(_unused_imports(ast.parse(path.read_text(), filename=str(path))))
     ]
     assert not found, f"unused imports in the package: {found}"
+
+
+# (module, function, parameter) triples that may go unread.  The benchmark
+# calls ``index`` with ``grading`` by position, so that parameter stays
+# until the benchmark may change.
+UNREAD_PARAMETERS = {("localization.py", "index", "grading")}
+
+
+def _unread_parameters(tree):
+    """(function, parameter) pairs of every ``def`` whose body never reads
+    the parameter; a nested function's reads count for its encloser."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                name.id
+                for stmt in node.body
+                for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            for a in params:
+                if a.arg not in read:
+                    yield node.name, a.arg
+
+
+def test_package_reads_every_parameter():
+    found = {
+        (path.name, func, param)
+        for path in SOURCES
+        for func, param in _unread_parameters(ast.parse(path.read_text(), filename=str(path)))
+    }
+    unread = sorted(found - UNREAD_PARAMETERS)
+    assert not unread, f"unread parameters: {unread}"
+    stale = sorted(UNREAD_PARAMETERS - found)
+    assert not stale, f"exempt parameters that are now read or gone: {stale}"
 
 
 def test_change_log_is_small_and_never_repeats_an_entry():
