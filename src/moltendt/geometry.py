@@ -161,6 +161,8 @@ class PeriodicQuiver:
             raise ValidationError("quiver has no nodes")
         if len(set(nodes)) != len(nodes):
             raise ValidationError("quiver node ids are not unique")
+        if None in nodes:
+            raise ValidationError("quiver node id None is kept for the framing node")
         ids = [a.id for a in arrows]
         if len(set(ids)) != len(ids):
             raise ValidationError("arrow ids are not unique")

@@ -134,9 +134,10 @@ def make_slope(
     """Smallest slope realizing a side sign pattern.
 
     With ``interval``, a sequence of side names: sign is -1 exactly on the
-    named contiguous run of sides and +1 on the rest.  With ``corner``: sign is +1 on the two
-    sides meeting at that corner.  Candidates are scanned by |s|^2, then
-    lexicographically; the tie-breaker is the quarter-turn of s.
+    named contiguous run of sides and +1 on the rest.  With ``corner``:
+    sign is +1 on the two sides meeting at that corner.  Candidates are
+    scanned by |s|^2, then lexicographically; the tie-breaker is the
+    quarter-turn of s.
 
     The scan stops at the first disc |s| <= r that holds a feasible s, and
     at r = 2 L^2 + 2 for side normals of coordinates at most L.  A feasible
@@ -309,9 +310,9 @@ def framed_partition_function(
     step of y's colour c and y's pairs with itself along loop arrows, and
     pair(f, y) its pairs with f along the framing and companion arrows;
     pair(a, y) signs the weights of the arrows between a's colour and y's,
-    both ways.
-    The slope becomes the integer key s.t * m + s'.t, with m larger than any
-    |s'.w| that occurs, so a sign is one integer comparison.
+    both ways.  The slope becomes the integer key s.t * m + s'.t, with m
+    larger than any |s'.w| that occurs, so a sign is one integer
+    comparison.
 
     Deltas are carried down the walk: a candidate y that passes from S to
     S + x gains pair(x, y), one lookup.  pair(x, y) depends on the two atoms

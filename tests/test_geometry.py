@@ -402,9 +402,9 @@ class TestQuiverValidation:
         with pytest.raises(ParseError, match=r"^arrow disp .*\[True, 0\]"):
             load_geometry(write(tmp_path, obj))
 
-    # a quiver built directly took these, and toric_diagram ran on the first
-    # two; the last failed there, saying the displacements "do not reach
-    # the requested homology class"
+    # a quiver built directly took all of these: toric_diagram ran on the
+    # float and bool pairs, and on the half-integers it failed saying the
+    # displacements "do not reach the requested homology class"
     @pytest.mark.parametrize(
         "a, c",
         [
@@ -419,6 +419,17 @@ class TestQuiverValidation:
         terms = [(1, ("a", "b", "c")), (-1, ("a", "c", "b"))]
         with pytest.raises(ValidationError, match="^arrow 'a' displacement "):
             PeriodicQuiver([0], arrows, terms)
+
+    def test_none_node_rejected(self, tmp_path):
+        # None spells the framing node in the walk and the census, so a
+        # node named None took the framing arrows' place and Z came out
+        # wrong, with no error
+        obj = self.base()
+        obj["nodes"][1] = None
+        for a in obj["arrows"]:
+            a["src"], a["tgt"] = (None if v == 1 else v for v in (a["src"], a["tgt"]))
+        with pytest.raises(ValidationError, match="^quiver node id None is kept"):
+            load_geometry(write(tmp_path, obj))
 
     def test_bool_sign(self, tmp_path):
         obj = self.base()
