@@ -7,9 +7,11 @@ frozen from that derivation, not from running the converter.
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +91,28 @@ def flip_colors(tiling):
             {"white": e["black"], "black": e["white"], "shift": [-e["shift"][0], -e["shift"][1]]}
         )
     return out
+
+
+def honeycomb_with(node=(), edge=(), edges=None):
+    """HONEYCOMB with ``node`` merged into its white node, ``edge`` into its
+    first edge, and its edges then replaced by ``edges`` if given."""
+    obj = copy.deepcopy(HONEYCOMB)
+    obj["nodes"][0].update(node)
+    obj["edges"][0].update(edge)
+    if edges is not None:
+        obj["edges"] = edges
+    return obj
+
+
+def quiver_json(q):
+    """The arrows as (id, src, tgt, disp) and the terms as (sign, cycle),
+    in order, of ``q.to_json_dict()``."""
+    obj = q.to_json_dict()
+    return (
+        obj["nodes"],
+        [(a["id"], a["src"], a["tgt"], tuple(a["disp"])) for a in obj["arrows"]],
+        [(t["sign"], tuple(t["cycle"])) for t in obj["potential"]],
+    )
 
 
 class TestBuiltins:
@@ -297,6 +321,108 @@ class TestTilingConversion:
         ]
         assert a.potential == b.potential
 
+    # frozen literals: node ids, arrows and terms, in order
+    @pytest.mark.parametrize(
+        "tiling, nodes, arrows, potential",
+        [
+            (
+                HONEYCOMB,
+                ["f0"],
+                [
+                    ("e0", "f0", "f0", (-1, 1)),
+                    ("e1", "f0", "f0", (0, -1)),
+                    ("e2", "f0", "f0", (1, 0)),
+                ],
+                [(1, ("e0", "e1", "e2")), (-1, ("e0", "e2", "e1"))],
+            ),
+            (
+                SQUARE,
+                ["f0", "f1"],
+                [
+                    ("e0", "f1", "f0", (0, 0)),
+                    ("e1", "f0", "f1", (-1, 0)),
+                    ("e2", "f0", "f1", (0, 1)),
+                    ("e3", "f1", "f0", (1, -1)),
+                ],
+                [(1, ("e0", "e1", "e3", "e2")), (-1, ("e0", "e2", "e3", "e1"))],
+            ),
+            (
+                flip_colors(HONEYCOMB),
+                ["f0"],
+                [
+                    ("e0", "f0", "f0", (1, -1)),
+                    ("e1", "f0", "f0", (0, 1)),
+                    ("e2", "f0", "f0", (-1, 0)),
+                ],
+                [(1, ("e0", "e1", "e2")), (-1, ("e0", "e2", "e1"))],
+            ),
+            (
+                flip_colors(SQUARE),
+                ["f0", "f1"],
+                [
+                    ("e0", "f1", "f0", (0, 0)),
+                    ("e1", "f0", "f1", (1, 0)),
+                    ("e2", "f0", "f1", (0, -1)),
+                    ("e3", "f1", "f0", (-1, 1)),
+                ],
+                [(1, ("e0", "e1", "e3", "e2")), (-1, ("e0", "e2", "e3", "e1"))],
+            ),
+        ],
+    )
+    def test_converted_quiver(self, tmp_path, tiling, nodes, arrows, potential):
+        q = load_geometry(write(tmp_path, tiling))
+        assert quiver_json(q) == (nodes, arrows, potential)
+
+    @pytest.mark.parametrize(
+        "tiling, error, message",
+        [
+            (honeycomb_with({"id": "b"}), ValidationError, "tiling node ids are not unique"),
+            (honeycomb_with({"color": "red"}), ValidationError, "node 'w' has color 'red'"),
+            (
+                honeycomb_with({"pos": [1, 0.25]}),
+                ValidationError,
+                "node 'w' position (Fraction(1, 1), Fraction(1, 4)) is outside the"
+                " fundamental domain",
+            ),
+            (
+                honeycomb_with(edge={"white": "x"}),
+                ValidationError,
+                "edge endpoint 'x' is not a node",
+            ),
+            (
+                honeycomb_with(edge={"black": "w"}),
+                ValidationError,
+                "edge endpoint 'w' should be black but is white",
+            ),
+            (
+                honeycomb_with({"pos": ["0", 0.25]}),
+                ParseError,
+                "position coordinate '0' is not a number",
+            ),
+            (honeycomb_with({"id": 1}), ParseError, "tiling node id 1 must be a string"),
+            (honeycomb_with({"pos": [0.25]}), ParseError, "node 'w' pos must be a pair"),
+            (honeycomb_with({"pos": [0.75, 0.75]}), ValidationError, "coincident tiling nodes"),
+            (
+                honeycomb_with(edges=HONEYCOMB["edges"] + HONEYCOMB["edges"][:1]),
+                ValidationError,
+                "two edges leave a tiling node in the same direction",
+            ),
+            (
+                honeycomb_with(edge={"shift": [0.5, 0]}),
+                ParseError,
+                "edge shift must be a pair of integers, got [Fraction(1, 2), 0]",
+            ),
+            (
+                honeycomb_with(edges=HONEYCOMB["edges"][:1]),
+                ValidationError,
+                "node 'w' has degree 1 < 2",
+            ),
+        ],
+    )
+    def test_tiling_check(self, tmp_path, tiling, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_geometry(write(tmp_path, tiling))
+
     def test_face_count_mismatch_rejected(self, tmp_path):
         # degree-1 black node: not a tiling
         bad = {
@@ -456,3 +582,48 @@ class TestQuiverValidation:
     def test_missing_field(self, tmp_path):
         with pytest.raises(ParseError):
             load_geometry(write(tmp_path, {"nodes": [0]}))
+        obj = self.base()
+        del obj["potential"]
+        message = r"^malformed geometry object: KeyError\('potential'\)$"
+        with pytest.raises(ParseError, match=message):
+            load_geometry(write(tmp_path, obj))
+
+    def test_directory_is_not_readable(self, tmp_path):
+        with pytest.raises(ParseError, match=f"^cannot read {re.escape(str(tmp_path))}: "):
+            load_geometry(tmp_path)
+
+    def test_json_array_document(self, tmp_path):
+        path = write(tmp_path, [self.base()])
+        message = f"^{re.escape(str(path))} does not contain a JSON object$"
+        with pytest.raises(ParseError, match=message):
+            load_geometry(path)
+
+    @staticmethod
+    def _set(obj, where, value):
+        *keys, last = where
+        for k in keys:
+            obj = obj[k]
+        obj[last] = value
+
+    @pytest.mark.parametrize(
+        "where, value, error, message",
+        [
+            (("nodes",), [0, 0], ValidationError, "quiver node ids are not unique"),
+            (("arrows", 1, "id"), "x", ValidationError, "arrow ids are not unique"),
+            (("arrows", 0, "tgt"), 5, ValidationError, "arrow 'x' endpoint is not a node"),
+            (("arrows", 0, "id"), 7, ParseError, "arrow id 7 must be a string"),
+            (("potential", 0, "cycle"), [], ValidationError, "empty potential cycle"),
+            (
+                ("potential", 0, "cycle"),
+                ["x", "q"],
+                ValidationError,
+                "potential references unknown arrow 'q'",
+            ),
+            (("potential", 0, "cycle"), "xy", ParseError, "potential cycle 'xy' must be a list"),
+        ],
+    )
+    def test_quiver_check(self, tmp_path, where, value, error, message):
+        obj = self.base()
+        self._set(obj, where, value)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_geometry(write(tmp_path, obj))

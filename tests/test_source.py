@@ -4,12 +4,14 @@ Integrity checks must raise typed ``MoltenDTError``s: ``python -O``
 strips ``assert`` statements, so an assert in the package is a check
 that silently stops running.  Every error class the package declares
 must also be raised somewhere in it: a class that nothing raises promises
-a check that does not exist.  No module imports a name it never reads, and
-no function takes a parameter it never reads.
+a check that does not exist.  No module imports a name it never reads, no
+function takes a parameter it never reads, and no module-level private
+name goes unread in the package.
 The change log stays a readable size with each entry written once.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import moltendt
@@ -82,6 +84,49 @@ def test_package_has_no_unused_imports():
         for name in sorted(_unused_imports(ast.parse(path.read_text(), filename=str(path))))
     ]
     assert not found, f"unused imports in the package: {found}"
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level def, class or assignment whose
+    name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(tree):
+    """Counts of the names a tree reads, as a bare name or an attribute."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+    return reads
+
+
+def test_every_private_name_is_read():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    defined = [
+        (path.name, name, node)
+        for path, tree in zip(SOURCES, trees)
+        for name, node in _private_definitions(tree)
+    ]
+    assert defined
+    # reads inside a name's own definition, a recursive call say, do not count
+    unread = [
+        f"{module}: {name}" for module, name, node in defined if reads[name] <= _reads(node)[name]
+    ]
+    assert not unread, f"private names the package never reads: {unread}"
 
 
 # (module, function, parameter) triples that may go unread.  The benchmark
