@@ -42,8 +42,10 @@ class AmbiguousCornerError(MoltenDTError):
 
 
 class StripCountMismatch(MoltenDTError):
-    """Removing two consecutive cuts split the quiver into a number of
-    components different from the side's lattice length."""
+    """The zig-zag strips of a side do not fit its lattice length K: an
+    arrow's two ends disagree with its height step, the strip count or the
+    number of distinct heights differs from K, or no zig-zag path matches a
+    strip."""
 
 
 class InvalidSeedArrow(MoltenDTError):

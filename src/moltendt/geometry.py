@@ -2,10 +2,12 @@
 
 A tiling is a bipartite graph on the torus with rational vertex positions;
 edges carry an integer shift applied to the black endpoint, so the lift to
-the plane is determined by the data.  The dual quiver has one node per face,
-one arrow per edge, and one potential term per tiling vertex: white vertices
-give the positively signed cycles (counterclockwise), black the negative
-ones.  Quivers can also be given directly, in which case the potential and
+the plane is determined by the data.  A tiling document is read into plain
+data, a dict of nodes and a list of edges, and dualized in one step.  The
+dual quiver has one node per face, numbered in the order the faces are
+traced from their least darts, one arrow per edge, and one potential term
+per tiling vertex: white vertices give the positively signed cycles
+(counterclockwise), black the negative ones.  Quivers can also be given directly, in which case the potential and
 arrow displacements must already satisfy the tiling-derived constraints.
 """
 
@@ -59,77 +61,57 @@ def _reaches_all(nodes, steps) -> bool:
 # tilings
 
 
-@dataclass(frozen=True)
-class TilingNode:
-    id: str
-    color: str
-    pos: tuple[Fraction, Fraction]
+def _parse_tiling(obj: dict) -> tuple[dict, list]:
+    """Read and check a tiling document.
 
+    Returns ``nodes``, id -> (colour, position) in document order, with
+    the position a pair of Fractions, and ``edges``, a list of (white,
+    black, shift) triples."""
 
-@dataclass(frozen=True)
-class TilingEdge:
-    white: str
-    black: str
-    shift: Vec
-
-
-class BraneTiling:
-    """Validated bipartite torus graph with an embedding."""
-
-    def __init__(self, nodes: list[TilingNode], edges: list[TilingEdge]):
-        if not nodes:
-            raise ValidationError("tiling has no nodes")
-        ids = [n.id for n in nodes]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("tiling node ids are not unique")
-        byid = {n.id: n for n in nodes}
-        for n in nodes:
-            if n.color not in ("white", "black"):
-                raise ValidationError(f"node {n.id!r} has color {n.color!r}")
-            if not all(0 <= c < 1 for c in n.pos):
-                raise ValidationError(
-                    f"node {n.id!r} position {n.pos} is outside the fundamental domain"
-                )
-        deg: dict[str, int] = {i: 0 for i in ids}
-        for e in edges:
-            for end, color in ((e.white, "white"), (e.black, "black")):
-                if end not in byid:
-                    raise ValidationError(f"edge endpoint {end!r} is not a node")
-                if byid[end].color != color:
-                    raise ValidationError(
-                        f"edge endpoint {end!r} should be {color} but is {byid[end].color}"
-                    )
-            deg[e.white] += 1
-            deg[e.black] += 1
-        for i, d in deg.items():
-            if d < 2:
-                raise ValidationError(f"node {i!r} has degree {d} < 2")
-        links = [(e.white, e.black) for e in edges]
-        if not _reaches_all(ids, links + [(b, w) for w, b in links]):
-            raise ValidationError("tiling graph is not connected")
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-
-
-def _parse_tiling(obj: dict) -> BraneTiling:
     def frac(x):
-        if isinstance(x, (int, Fraction)):
+        # True == 1, so the type is checked
+        if type(x) is int or isinstance(x, Fraction):
             return Fraction(x)
         raise ParseError(f"position coordinate {x!r} is not a number")
 
-    nodes = []
+    rows = []
     for n in obj["nodes"]:
         if not isinstance(n.get("id"), str):
             raise ParseError(f"tiling node id {n.get('id')!r} must be a string")
         pos = n["pos"]
         if not isinstance(pos, list) or len(pos) != 2:
             raise ParseError(f"node {n['id']!r} pos must be a pair")
-        nodes.append(TilingNode(n["id"], n["color"], (frac(pos[0]), frac(pos[1]))))
-    edges = [
-        TilingEdge(e["white"], e["black"], _vec(e["shift"], "edge shift"))
-        for e in obj["edges"]
-    ]
-    return BraneTiling(nodes, edges)
+        rows.append((n["id"], (n["color"], (frac(pos[0]), frac(pos[1])))))
+    edges = [(e["white"], e["black"], _vec(e["shift"], "edge shift")) for e in obj["edges"]]
+    if not rows:
+        raise ValidationError("tiling has no nodes")
+    nodes = dict(rows)
+    if len(nodes) != len(rows):
+        raise ValidationError("tiling node ids are not unique")
+    for i, (color, pos) in nodes.items():
+        if color not in ("white", "black"):
+            raise ValidationError(f"node {i!r} has color {color!r}")
+        if not all(0 <= c < 1 for c in pos):
+            raise ValidationError(
+                f"node {i!r} position {pos} is outside the fundamental domain"
+            )
+    deg = dict.fromkeys(nodes, 0)
+    for w, b, _ in edges:
+        for end, color in ((w, "white"), (b, "black")):
+            if end not in nodes:
+                raise ValidationError(f"edge endpoint {end!r} is not a node")
+            if nodes[end][0] != color:
+                raise ValidationError(
+                    f"edge endpoint {end!r} should be {color} but is {nodes[end][0]}"
+                )
+            deg[end] += 1
+    for i, d in deg.items():
+        if d < 2:
+            raise ValidationError(f"node {i!r} has degree {d} < 2")
+    links = [(w, b) for w, b, _ in edges]
+    if not _reaches_all(list(nodes), links + [(b, w) for w, b in links]):
+        raise ValidationError("tiling graph is not connected")
+    return nodes, edges
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +274,11 @@ def _parse_quiver(obj: dict) -> PeriodicQuiver:
         if not isinstance(cycle, list):
             raise ParseError(f"potential cycle {cycle!r} must be a list")
         potential.append((sign, tuple(cycle)))
-    return PeriodicQuiver(list(obj["nodes"]), arrows, potential)
+    nodes = obj["nodes"]
+    # a string or a dict would be read as its characters or its keys
+    if not isinstance(nodes, list):
+        raise ParseError(f"quiver nodes {nodes!r} must be a list")
+    return PeriodicQuiver(nodes, arrows, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -301,112 +287,79 @@ def _parse_quiver(obj: dict) -> PeriodicQuiver:
 # A dart is (edge index, 0) from white to black or (edge index, 1) back.
 
 
-def _angle_key(v: tuple[Fraction, Fraction]):
-    x, y = v
+def _angle_key(x: Fraction, y: Fraction) -> tuple:
+    """Exact sort key of the direction (x, y) by counterclockwise angle in
+    [0, 2pi): the half turn, then whether y != 0, then -x/y, which grows
+    with the angle inside a half turn."""
+
     if x == 0 and y == 0:
         raise ValidationError("coincident tiling nodes")
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    return half, x, y
+    return (0 if y > 0 or (y == 0 and x > 0) else 1, y != 0, -x / y if y else 0)
 
 
-def _ccw_sort(vectors: list[tuple[int, tuple[Fraction, Fraction]]]):
-    # sort by angle in [0, 2pi); within a half turn, u precedes w iff
-    # cross(u, w) > 0
-    def cmp(a, b):
-        (ha, xa, ya), (hb, xb, yb) = _angle_key(a[1]), _angle_key(b[1])
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = xa * yb - ya * xb
-        if cross == 0:
+def tiling_to_quiver(obj: dict) -> PeriodicQuiver:
+    """Dualize a tiling document: faces become nodes, edges arrows, vertices
+    terms.
+
+    The darts are traced in ascending order, so each face is found at its
+    least dart: node ``f<i>`` is the i-th face traced, and the lifts of its
+    darts are measured from that least dart."""
+
+    nodes, edges = _parse_tiling(obj)
+    # counterclockwise rotation of darts leaving each node
+    leaving: dict[str, list] = {i: [] for i in nodes}
+    for k, (w, b, s) in enumerate(edges):
+        pw, pb = nodes[w][1], nodes[b][1]
+        x, y = pb[0] + s[0] - pw[0], pb[1] + s[1] - pw[1]
+        leaving[w].append((_angle_key(x, y), (k, 0)))
+        leaving[b].append((_angle_key(-x, -y), (k, 1)))
+    for i, ring in leaving.items():
+        ring.sort()
+        if any(u[0] == v[0] for u, v in zip(ring, ring[1:])):
             raise ValidationError(
                 "two edges leave a tiling node in the same direction"
             )
-        return -1 if cross > 0 else 1
-
-    return sorted(vectors, key=functools.cmp_to_key(cmp))
-
-
-def tiling_to_quiver(t: BraneTiling) -> PeriodicQuiver:
-    """Dualize a tiling: faces become nodes, edges arrows, vertices terms."""
-
-    pos = {n.id: n.pos for n in t.nodes}
-    # counterclockwise rotation of darts leaving each node
-    leaving: dict[str, list[tuple[int, int]]] = {n.id: [] for n in t.nodes}
-    vecs: dict[str, list] = {n.id: [] for n in t.nodes}
-    for k, e in enumerate(t.edges):
-        pw, pb = pos[e.white], pos[e.black]
-        dw = (pb[0] + e.shift[0] - pw[0], pb[1] + e.shift[1] - pw[1])
-        vecs[e.white].append(((k, 0), dw))
-        vecs[e.black].append(((k, 1), (-dw[0], -dw[1])))
-    for i in vecs:
-        leaving[i] = [d for d, _ in _ccw_sort(vecs[i])]
-
-    def head(dart):
-        k, rev = dart
-        return t.edges[k].black if rev == 0 else t.edges[k].white
-
-    def dart_shift(dart) -> Vec:
-        k, rev = dart
-        s = t.edges[k].shift
-        return s if rev == 0 else (-s[0], -s[1])
+        leaving[i] = [d for _, d in ring]
 
     def next_in_face(dart):
         # continue along the face to the left: step clockwise from the
         # reversed dart in the rotation at the head node
         k, rev = dart
-        ring = leaving[head(dart)]
+        ring = leaving[edges[k][1 - rev]]
         j = ring.index((k, 1 - rev))
         return ring[j - 1]
 
-    # trace face orbits, tracking node lifts in the universal cover
+    # trace face orbits, tracking node lifts in the universal cover; an
+    # orbit closes at its start, the one traced dart it meets
     face_of: dict[tuple[int, int], int] = {}
     lift_of: dict[tuple[int, int], Vec] = {}  # lift of the dart's tail
     nfaces = 0
-    all_darts = [(k, r) for k in range(len(t.edges)) for r in (0, 1)]
-    for start in all_darts:
+    for start in [(k, r) for k in range(len(edges)) for r in (0, 1)]:
         if start in face_of:
             continue
-        orbit = []
-        d = start
-        lift = (0, 0)
-        while True:
-            orbit.append((d, lift))
-            s = dart_shift(d)
-            lift = (lift[0] + s[0], lift[1] + s[1])
+        d, lx, ly = start, 0, 0
+        while d not in face_of:
+            face_of[d], lift_of[d] = nfaces, (lx, ly)
+            k, rev = d
+            sign = 1 - 2 * rev
+            lx, ly = lx + sign * edges[k][2][0], ly + sign * edges[k][2][1]
             d = next_in_face(d)
-            if d == start:
-                break
-        if lift != (0, 0):
+        if (lx, ly) != (0, 0):
             raise ValidationError("a traced face wraps around the torus")
-        base = min(range(len(orbit)), key=lambda i: orbit[i][0])
-        ox, oy = orbit[base][1]
-        for d, (lx, ly) in orbit:
-            face_of[d] = nfaces
-            lift_of[d] = (lx - ox, ly - oy)
         nfaces += 1
-    if nfaces - len(t.edges) + len(t.nodes) != 0:
+    if nfaces - len(edges) + len(nodes) != 0:
         raise ValidationError(
             "face tracing gives Euler characteristic "
-            f"{nfaces - len(t.edges) + len(t.nodes)}, not a torus"
+            f"{nfaces - len(edges) + len(nodes)}, not a torus"
         )
-
-    # canonical face numbering by least dart
-    first_dart = {}
-    for d in all_darts:
-        f = face_of[d]
-        if f not in first_dart or d < first_dart[f]:
-            first_dart[f] = d
-    order = sorted(range(nfaces), key=lambda f: first_dart[f])
-    rank = {f: i for i, f in enumerate(order)}
     node_ids = [f"f{i}" for i in range(nfaces)]
 
     arrows = []
-    for k, e in enumerate(t.edges):
-        src = node_ids[rank[face_of[(k, 1)]]]
-        tgt = node_ids[rank[face_of[(k, 0)]]]
+    for k, (_, _, s) in enumerate(edges):
+        src = node_ids[face_of[(k, 1)]]
+        tgt = node_ids[face_of[(k, 0)]]
         ob = lift_of[(k, 1)]
         ow = lift_of[(k, 0)]
-        s = e.shift
         disp = (ob[0] - s[0] - ow[0], ob[1] - s[1] - ow[1])
         arrows.append(Arrow(f"e{k}", src, tgt, disp))
 
@@ -415,13 +368,12 @@ def tiling_to_quiver(t: BraneTiling) -> PeriodicQuiver:
         return tuple(cycle[i:] + cycle[:i])
 
     potential = []
-    for n in t.nodes:
-        ring = leaving[n.id]
-        edge_cycle = [k for k, _ in ring]
-        if n.color == "black":
+    for i, (color, _) in nodes.items():
+        edge_cycle = [k for k, _ in leaving[i]]
+        if color == "black":
             edge_cycle = edge_cycle[::-1]
         potential.append(
-            (1 if n.color == "white" else -1, rotate_min([f"e{k}" for k in edge_cycle]))
+            (1 if color == "white" else -1, rotate_min([f"e{k}" for k in edge_cycle]))
         )
     potential.sort(key=lambda sc: (-sc[0], sc[1]))
 
@@ -432,7 +384,7 @@ def tiling_to_quiver(t: BraneTiling) -> PeriodicQuiver:
 # loading
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path) -> dict:
     try:
         text = path.read_text()
     except OSError as exc:
@@ -451,7 +403,7 @@ def _from_obj(obj: dict) -> PeriodicQuiver:
         if "arrows" in obj:
             return _parse_quiver(obj)
         if "edges" in obj:
-            return tiling_to_quiver(_parse_tiling(obj))
+            return tiling_to_quiver(obj)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed geometry object: {exc!r}") from exc
     raise ParseError("geometry object has neither 'arrows' nor 'edges'")
@@ -461,15 +413,12 @@ def load_geometry(source) -> PeriodicQuiver:
     """Load a quiver from a builtin name, a quiver file, or a tiling file."""
 
     if isinstance(source, str) and source in BUILTINS:
-        ref = resources.files("moltendt") / "catalog" / f"{source}.json"
-        try:
-            obj = json.loads(ref.read_text(), parse_float=Fraction)
-        except FileNotFoundError as exc:
-            raise ParseError(f"builtin {source!r} is missing from the catalog") from exc
-        return _from_obj(obj)
-    if not isinstance(source, (str, PathLike)) or not Path(source).exists():
+        path = resources.files("moltendt") / "catalog" / f"{source}.json"
+    elif isinstance(source, (str, PathLike)) and Path(source).exists():
+        path = Path(source)
+    else:
         raise ParseError(f"unknown geometry source {source!r}")
-    return _from_obj(_load_json(Path(source)))
+    return _from_obj(_load_json(path))
 
 
 # ---------------------------------------------------------------------------

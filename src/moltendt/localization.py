@@ -105,9 +105,12 @@ def parse_interval(diagram: ToricDiagramData, text: str) -> tuple:
 def _interval_run(diagram: ToricDiagramData, interval) -> set:
     if isinstance(interval, str):
         raise InvalidInterval(
-            f"interval {interval!r} is a string: an interval is a sequence of"
-            ' side names, and parse_interval reads "za..zb"'
+            f"interval {interval!r} is a string: an interval is a list or tuple"
+            ' of side names, and parse_interval reads "za..zb"'
         )
+    # any other iterable, bytes or a dict say, would be read item by item
+    if not isinstance(interval, (list, tuple)):
+        raise InvalidInterval(f"interval {interval!r} is not a list or tuple of side names")
     names = [s.name for s in diagram.sides]
     wanted = []
     for z in interval:
@@ -133,7 +136,7 @@ def make_slope(
 ) -> Slope:
     """Smallest slope realizing a side sign pattern.
 
-    With ``interval``, a sequence of side names: sign is -1 exactly on the
+    With ``interval``, a list or tuple of side names: sign is -1 exactly on the
     named contiguous run of sides and +1 on the rest.  With ``corner``:
     sign is +1 on the two sides meeting at that corner.  Candidates are
     scanned by |s|^2, then lexicographically; the tie-breaker is the

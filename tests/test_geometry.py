@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import moltendt
-from moltendt import matchings
+from moltendt import geometry, matchings
 from moltendt.errors import NoCutError, ParseError, ValidationError
 from moltendt.geometry import (
     Arrow,
@@ -423,6 +423,14 @@ class TestTilingConversion:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             load_geometry(write(tmp_path, tiling))
 
+    # True == 1: false loaded as the coordinate 0, and true failed as the
+    # position (Fraction(1, 1), Fraction(1, 4)) outside the domain
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_bool_coordinate(self, tmp_path, flag):
+        tiling = honeycomb_with({"pos": [flag, 0.25]})
+        with pytest.raises(ParseError, match=f"^position coordinate {flag} is not a number$"):
+            load_geometry(write(tmp_path, tiling))
+
     def test_face_count_mismatch_rejected(self, tmp_path):
         # degree-1 black node: not a tiling
         bad = {
@@ -567,6 +575,11 @@ class TestQuiverValidation:
         with pytest.raises(ParseError):
             load_geometry("no-such-geometry")
 
+    def test_missing_builtin_names_its_file(self, monkeypatch):
+        monkeypatch.setattr(geometry, "BUILTINS", geometry.BUILTINS + ("gone",))
+        with pytest.raises(ParseError, match=r"^cannot read .*gone\.json: "):
+            load_geometry("gone")
+
     # Path() raised TypeError for these
     @pytest.mark.parametrize("source", [123, None])
     def test_source_neither_name_nor_path(self, source):
@@ -597,6 +610,16 @@ class TestQuiverValidation:
         message = f"^{re.escape(str(path))} does not contain a JSON object$"
         with pytest.raises(ParseError, match=message):
             load_geometry(path)
+
+    # a string gave one node per character and a dict its keys
+    @pytest.mark.parametrize("nodes", ["0", "ab", {"0": 1, "1": 2}])
+    def test_nodes_must_be_a_list(self, tmp_path, nodes):
+        obj = self.base()
+        obj["nodes"] = nodes
+        for a in obj["arrows"]:
+            a["src"], a["tgt"] = str(a["src"]), str(a["tgt"])
+        with pytest.raises(ParseError, match=r"^quiver nodes .* must be a list$"):
+            load_geometry(write(tmp_path, obj))
 
     @staticmethod
     def _set(obj, where, value):

@@ -212,6 +212,18 @@ class TestMakeSlope:
         with pytest.raises(InvalidInterval, match="is a string.*parse_interval"):
             make_slope(d, interval=text)
 
+    # 5 raised TypeError, b"z0" said "122 is not a side", and a dict was
+    # read as its keys
+    @pytest.mark.parametrize("interval", [5, b"z0", {"z0": 1}])
+    def test_interval_is_a_list_or_tuple(self, interval):
+        q, grading, d = setting("spp")
+        with pytest.raises(InvalidInterval, match="is not a list or tuple of side names$"):
+            make_slope(d, interval=interval)
+
+    def test_interval_list_or_tuple(self):
+        q, grading, d = setting("spp")
+        assert make_slope(d, interval=["z0"]) == make_slope(d, interval=("z0",))
+
     def test_parse_interval(self):
         q, grading, d = setting("spp")
         assert parse_interval(d, "z3..z1") == ("z3", "z0", "z1")

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from moltendt.geometry import _parse_quiver, _parse_tiling, tiling_to_quiver
+from moltendt.geometry import _parse_quiver, tiling_to_quiver
 from moltendt.matchings import toric_diagram, zigzag_analysis
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "moltendt" / "catalog"
@@ -205,7 +205,7 @@ SPP_NODES = {"f1": 1, "f0": 2, "f2": 3}
 
 
 def build_spp():
-    q = tiling_to_quiver(_parse_tiling(SPP_TILING))
+    q = tiling_to_quiver(SPP_TILING)
     obj = q.to_json_dict()
     obj["nodes"] = sorted(SPP_NODES[n] for n in obj["nodes"])
     for a in obj["arrows"]:
