@@ -3,12 +3,13 @@
 A tiling is a bipartite graph on the torus with rational vertex positions;
 edges carry an integer shift applied to the black endpoint, so the lift to
 the plane is determined by the data.  A tiling document is read into plain
-data, a dict of nodes and a list of edges, and dualized in one step.  The
+data, a dict of nodes and a list of edges, and then dualized.  The
 dual quiver has one node per face, numbered in the order the faces are
 traced from their least darts, one arrow per edge, and one potential term
 per tiling vertex: white vertices give the positively signed cycles
-(counterclockwise), black the negative ones.  Quivers can also be given directly, in which case the potential and
-arrow displacements must already satisfy the tiling-derived constraints.
+(counterclockwise), black the negative ones.  Quivers can also be given
+directly, in which case the potential and arrow displacements must already
+satisfy the tiling-derived constraints.
 """
 
 from __future__ import annotations

@@ -105,8 +105,8 @@ def honeycomb_with(node=(), edge=(), edges=None):
 
 
 def quiver_json(q):
-    """The arrows as (id, src, tgt, disp) and the terms as (sign, cycle),
-    in order, of ``q.to_json_dict()``."""
+    """The node ids, the arrows as (id, src, tgt, disp) and the terms as
+    (sign, cycle), in order, of ``q.to_json_dict()``."""
     obj = q.to_json_dict()
     return (
         obj["nodes"],
@@ -321,7 +321,8 @@ class TestTilingConversion:
         ]
         assert a.potential == b.potential
 
-    # frozen literals: node ids, arrows and terms, in order
+    # node ids, arrows and terms in order, frozen from the converter's
+    # output rather than derived by hand: a rewrite must keep every one
     @pytest.mark.parametrize(
         "tiling, nodes, arrows, potential",
         [
