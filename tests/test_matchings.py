@@ -26,7 +26,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bench.workloads import orbifold_quiver
-from moltendt.errors import NoCutError, StripCountMismatch
+from moltendt.errors import (
+    AmbiguousCornerError,
+    NoCutError,
+    StripCountMismatch,
+    ValidationError,
+)
 from moltendt.geometry import _parse_quiver as quiver, builtin_names, euler_form, load_geometry
 from moltendt.matchings import (
     _shortest_chain,
@@ -418,6 +423,49 @@ class TestCuts:
 
 
 class TestDiagram:
+    def test_two_cuts_at_a_corner(self):
+        # {c} and {d} both sit at (0, 0), a corner of the triangle that
+        # {a} at (1, 0) and {b} at (0, 1) complete
+        q = loops(
+            {"a": [1, 0], "b": [0, 1], "c": [-1, 0], "d": [0, -1]},
+            [(1, ["a", "b", "c", "d"]), (-1, ["a", "d", "c", "b"])],
+        )
+        assert [(c.arrows, c.point) for c in perfect_matchings(q)] == [
+            (frozenset({"c"}), (0, 0)),
+            (frozenset({"d"}), (0, 0)),
+            (frozenset({"b"}), (0, 1)),
+            (frozenset({"a"}), (1, 0)),
+        ]
+        with pytest.raises(
+            AmbiguousCornerError,
+            match=r"^2 matchings at hull corner \(0, 0\), expected a unique one$",
+        ):
+            toric_diagram(q)
+
+    @pytest.mark.parametrize(
+        "a, b, points",
+        [
+            # three distinct points on the x axis: the hull has no area
+            ((-2, 0), (3, 0), [(0, 0), (1, 0), (2, 0)]),
+            # two distinct points
+            ((-3, 0), (-2, 0), [(0, 0), (1, 0)]),
+        ],
+    )
+    def test_degenerate_diagram(self, a, b, points):
+        # the terms over a, b, w, x and y have the three matchings {a, b},
+        # {b, y} and {w, x}, all displaced along x; c repeats in both of
+        # its terms, so every cut holds d and y stays 0
+        (ax, _), (bx, _) = a, b
+        q = loops(
+            {"a": a, "b": b, "w": [-bx, 0], "x": [-bx, 0], "y": [bx - ax, 0],
+             "c": [0, 1], "d": [0, -2]},
+            [(1, ["a", "x", "y"]), (1, ["b", "w"]), (1, ["c", "c", "d"]),
+             (-1, ["a", "w", "y"]), (-1, ["b", "x"]), (-1, ["c", "d", "c"])],
+        )
+        assert sorted({c.point for c in perfect_matchings(q)}) == points
+        with pytest.raises(ValidationError, match="^toric diagram is degenerate$"):
+            toric_diagram(q)
+
     def test_c3_triangle(self):
         _, d, _ = analyze("c3")
         assert d.corners == ((0, 0), (0, 1), (1, 0))
