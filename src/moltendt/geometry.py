@@ -43,6 +43,37 @@ def _vec(obj, what: str) -> Vec:
     return (obj[0], obj[1])
 
 
+def _fields(obj, keys, kind: str, entry: bool = True) -> list:
+    """The values of ``keys`` in ``obj``, a JSON object that is one
+    ``kind`` of a geometry document.  A ParseError names the kind, then
+    ``obj`` itself if it is an ``entry`` of a list, and the first missing
+    key."""
+
+    if not isinstance(obj, dict):
+        raise ParseError(f"{kind} {obj!r} must be an object")
+    for key in keys:
+        if key not in obj:
+            name = f"{kind} {obj!r}" if entry else kind
+            raise ParseError(f"{name} has no {key!r}")
+    return [obj[key] for key in keys]
+
+
+def _list(value, what: str) -> list:
+    # a string or a dict would be read as its characters or its keys
+    if not isinstance(value, list):
+        raise ParseError(f"{what} {value!r} must be a list")
+    return value
+
+
+def _name(value, what: str):
+    """``value`` if it can name a node or an arrow; a list or an object
+    cannot."""
+
+    if isinstance(value, (list, dict)):
+        raise ParseError(f"{what} {value!r} must be a string or a number")
+    return value
+
+
 def _reaches_all(nodes, steps) -> bool:
     """Whether the directed ``steps``, (from, to) pairs, lead from the
     first of ``nodes`` to every one of them."""
@@ -75,15 +106,23 @@ def _parse_tiling(obj: dict) -> tuple[dict, list]:
             return Fraction(x)
         raise ParseError(f"position coordinate {x!r} is not a number")
 
+    node_list, edge_list = _fields(obj, ("nodes", "edges"), "tiling", entry=False)
     rows = []
-    for n in obj["nodes"]:
+    for n in _list(node_list, "tiling nodes"):
+        color, pos = _fields(n, ("color", "pos"), "tiling node")
         if not isinstance(n.get("id"), str):
             raise ParseError(f"tiling node id {n.get('id')!r} must be a string")
-        pos = n["pos"]
         if not isinstance(pos, list) or len(pos) != 2:
             raise ParseError(f"node {n['id']!r} pos must be a pair")
-        rows.append((n["id"], (n["color"], (frac(pos[0]), frac(pos[1])))))
-    edges = [(e["white"], e["black"], _vec(e["shift"], "edge shift")) for e in obj["edges"]]
+        rows.append((n["id"], (color, (frac(pos[0]), frac(pos[1])))))
+    edges = []
+    for e in _list(edge_list, "tiling edges"):
+        white, black, shift = _fields(e, ("white", "black", "shift"), "tiling edge")
+        edges.append((
+            _name(white, "edge endpoint"),
+            _name(black, "edge endpoint"),
+            _vec(shift, "edge shift"),
+        ))
     if not rows:
         raise ValidationError("tiling has no nodes")
     nodes = dict(rows)
@@ -263,22 +302,24 @@ class PeriodicQuiver:
 
 
 def _parse_quiver(obj: dict) -> PeriodicQuiver:
+    nodes, arrow_list, terms = _fields(
+        obj, ("nodes", "arrows", "potential"), "quiver", entry=False
+    )
     arrows = []
-    for a in obj["arrows"]:
+    for a in _list(arrow_list, "quiver arrows"):
+        src, tgt, disp = _fields(a, ("src", "tgt", "disp"), "arrow")
         if not isinstance(a.get("id"), str):
             raise ParseError(f"arrow id {a.get('id')!r} must be a string")
-        arrows.append(Arrow(a["id"], a["src"], a["tgt"], _vec(a["disp"], "arrow disp")))
+        src, tgt = _name(src, "arrow src"), _name(tgt, "arrow tgt")
+        arrows.append(Arrow(a["id"], src, tgt, _vec(disp, "arrow disp")))
     potential = []
-    for t in obj["potential"]:
-        sign = t["sign"]
-        cycle = t["cycle"]
-        if not isinstance(cycle, list):
-            raise ParseError(f"potential cycle {cycle!r} must be a list")
+    for t in _list(terms, "quiver potential"):
+        sign, cycle = _fields(t, ("sign", "cycle"), "potential term")
+        for x in _list(cycle, "potential cycle"):
+            _name(x, "potential cycle entry")
         potential.append((sign, tuple(cycle)))
-    nodes = obj["nodes"]
-    # a string or a dict would be read as its characters or its keys
-    if not isinstance(nodes, list):
-        raise ParseError(f"quiver nodes {nodes!r} must be a list")
+    for v in _list(nodes, "quiver nodes"):
+        _name(v, "quiver node")
     return PeriodicQuiver(nodes, arrows, potential)
 
 
@@ -400,13 +441,12 @@ def _load_json(path) -> dict:
 
 
 def _from_obj(obj: dict) -> PeriodicQuiver:
-    try:
-        if "arrows" in obj:
-            return _parse_quiver(obj)
-        if "edges" in obj:
-            return tiling_to_quiver(obj)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"malformed geometry object: {exc!r}") from exc
+    # the parse steps name each malformed entry and field, so an error
+    # from the dual step or from PeriodicQuiver is left as it is
+    if "arrows" in obj:
+        return _parse_quiver(obj)
+    if "edges" in obj:
+        return tiling_to_quiver(obj)
     raise ParseError("geometry object has neither 'arrows' nor 'edges'")
 
 

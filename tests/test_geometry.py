@@ -432,6 +432,44 @@ class TestTilingConversion:
         with pytest.raises(ParseError, match=f"^position coordinate {flag} is not a number$"):
             load_geometry(write(tmp_path, tiling))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # these read as an AttributeError or a KeyError, relabelled
+            # "malformed geometry object"
+            ({"nodes": ["w"]}, "tiling node 'w' must be an object"),
+            (
+                {"nodes": [{"id": "w", "pos": [0, 0]}]},
+                "tiling node {'id': 'w', 'pos': [0, 0]} has no 'color'",
+            ),
+            (
+                {"edges": [{"white": "w", "black": "b"}]},
+                "tiling edge {'white': 'w', 'black': 'b'} has no 'shift'",
+            ),
+            ({"edges": [{"white": ["w"], "black": "b", "shift": [0, 0]}]},
+             "edge endpoint ['w'] must be a string or a number"),
+            ({"nodes": "wb"}, "tiling nodes 'wb' must be a list"),
+            ({"edges": 3}, "tiling edges 3 must be a list"),
+        ],
+    )
+    def test_malformed_entry(self, tmp_path, change, message):
+        tiling = {**HONEYCOMB, **change}
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_geometry(write(tmp_path, tiling))
+
+    def test_missing_nodes(self, tmp_path):
+        with pytest.raises(ParseError, match="^tiling has no 'nodes'$"):
+            load_geometry(write(tmp_path, {"edges": HONEYCOMB["edges"]}))
+
+    def test_dual_step_error_is_not_relabelled(self, tmp_path, monkeypatch):
+        # a fault in the dual step is no input error
+        def broken(x, y):
+            raise KeyError("fault")
+
+        monkeypatch.setattr(geometry, "_angle_key", broken)
+        with pytest.raises(KeyError, match="fault"):
+            load_geometry(write(tmp_path, HONEYCOMB))
+
     def test_face_count_mismatch_rejected(self, tmp_path):
         # degree-1 black node: not a tiling
         bad = {
@@ -598,7 +636,7 @@ class TestQuiverValidation:
             load_geometry(write(tmp_path, {"nodes": [0]}))
         obj = self.base()
         del obj["potential"]
-        message = r"^malformed geometry object: KeyError\('potential'\)$"
+        message = r"^quiver has no 'potential'$"
         with pytest.raises(ParseError, match=message):
             load_geometry(write(tmp_path, obj))
 
@@ -651,3 +689,52 @@ class TestQuiverValidation:
         self._set(obj, where, value)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             load_geometry(write(tmp_path, obj))
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("arrows", 0), "x", "arrow 'x' must be an object"),
+            (("arrows", 0, "src"), [0], "arrow src [0] must be a string or a number"),
+            (("arrows", 0, "tgt"), {"n": 1}, "arrow tgt {'n': 1} must be a string or a number"),
+            (("nodes", 0), [0], "quiver node [0] must be a string or a number"),
+            (
+                ("potential", 0, "cycle"),
+                ["x", ["y"]],
+                "potential cycle entry ['y'] must be a string or a number",
+            ),
+            (("arrows",), {"x": 1}, "quiver arrows {'x': 1} must be a list"),
+            (("potential",), 5, "quiver potential 5 must be a list"),
+        ],
+    )
+    def test_malformed_entry(self, tmp_path, where, value, message):
+        # each of these escaped as an untyped TypeError from PeriodicQuiver
+        # or read as "malformed geometry object: <repr>"
+        obj = self.base()
+        self._set(obj, where, value)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_geometry(write(tmp_path, obj))
+
+    @pytest.mark.parametrize(
+        "entry, field, message",
+        [
+            (("arrows", 0), "src", "arrow {'id': 'x', 'tgt': 1, 'disp': [1, 0]} has no 'src'"),
+            (("potential", 0), "cycle", "potential term {'sign': 1} has no 'cycle'"),
+        ],
+    )
+    def test_missing_entry_field(self, tmp_path, entry, field, message):
+        obj = self.base()
+        part = obj
+        for k in entry:
+            part = part[k]
+        del part[field]
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_geometry(write(tmp_path, obj))
+
+    def test_quiver_error_is_not_relabelled(self, tmp_path, monkeypatch):
+        # a fault in PeriodicQuiver is no input error
+        def broken(nodes, steps):
+            raise TypeError("fault")
+
+        monkeypatch.setattr(geometry, "_reaches_all", broken)
+        with pytest.raises(TypeError, match="fault"):
+            load_geometry(write(tmp_path, self.base()))
