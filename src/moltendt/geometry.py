@@ -273,12 +273,18 @@ class PeriodicQuiver:
         return chi, bracket
 
     @functools.cached_property
-    def cuts(self) -> tuple:
-        """Every cut of the potential, canonically sorted."""
+    def cuts(self):
+        """Every cut of the potential, canonically sorted, as a
+        ``matchings.CutList``: the int codes of the cut search, each
+        decoded into a ``Cut`` only when it is read.  Set-up reads the
+        corner cuts and ``cuts[0]``.  On C^3/Z_5 x Z_5 the 7,623 codes hold
+        0.39 MiB of traced memory, where a tuple of their ``Cut``s held
+        0.9 MiB; on C^3/Z_6 x Z_6 the 263,640 codes hold 13 MiB, where the
+        tuple held 30 MiB."""
 
         from . import matchings
 
-        return tuple(matchings.perfect_matchings(self))
+        return matchings._cut_list(self)
 
     @functools.cached_property
     def cut_weight(self) -> dict[str, int]:

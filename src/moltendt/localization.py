@@ -46,7 +46,7 @@ from .errors import (
 )
 from .geometry import PeriodicQuiver, ReferenceGrading, euler_form
 from .matchings import ToricDiagramData
-from .qspace import QSeries, VRational, _dim, _dim_key, _series
+from .qspace import _DEN_ONE, QSeries, VRational, _dim, _dim_key, _series
 
 Vec = tuple
 
@@ -455,6 +455,6 @@ def framed_partition_function(
             # every count is positive, so each poly is already a reduced
             # numerator
             poly = {}
-            terms[_dim(key, n, radix)] = VRational(poly, {0: 1}, _raw=True)
+            terms[_dim(key, n, radix)] = VRational(poly, _DEN_ONE, _raw=True)
         poly[e - off] = counts[k]
     return _series(bound, euler_form(q)[1], terms)

@@ -235,14 +235,15 @@ class TestReferenceGrading:
             assert reference_grading(q).i0 == toric_diagram(q).cuts[0].arrows, name
 
     def test_cuts_enumerated_once_per_quiver(self, monkeypatch):
+        # the search that PeriodicQuiver.cuts and perfect_matchings share
         calls = []
-        real = matchings.perfect_matchings
+        real = matchings._cut_list
 
         def counting(q):
             calls.append(q)
             return real(q)
 
-        monkeypatch.setattr(matchings, "perfect_matchings", counting)
+        monkeypatch.setattr(matchings, "_cut_list", counting)
         q = load_geometry("spp")
         toric_diagram(q)
         reference_grading(q)

@@ -29,6 +29,7 @@ from moltendt.errors import NonCommutingSupport
 from moltendt.geometry import builtin_names, load_geometry, reference_grading
 from moltendt.localization import framed_partition_function, make_slope
 from moltendt.matchings import toric_diagram
+from moltendt import qspace
 from moltendt.qspace import log_pleth, qinv, series_to_json
 
 FIXTURE = Path(__file__).parent / "fixtures" / "z_b8.json"
@@ -91,3 +92,22 @@ def test_every_case_matches_the_fixture():
 
 def test_every_series_matches_the_fixture():
     check(SERIES_FIXTURE, dict(series_digests()))
+
+
+def test_laurent_coefficients_share_one_denominator():
+    # a VRational's dicts are never mutated, so every Laurent coefficient
+    # holds the module's one unit denominator, not a copy of it
+    shared = 0
+    for _, z in partition_functions():
+        outputs = [z, qinv(z)]
+        try:
+            outputs.append(log_pleth(z))
+        except NonCommutingSupport:
+            pass
+        for series in outputs:
+            for c in series.terms.values():
+                if c.is_laurent:
+                    assert c._den is qspace._DEN_ONE
+                    shared += 1
+    assert shared > 0
+    assert qspace._DEN_ONE == {0: 1}

@@ -19,6 +19,7 @@ import gc
 import hashlib
 import itertools
 import json
+from collections import Counter
 import tracemalloc
 from pathlib import Path
 
@@ -32,8 +33,15 @@ from moltendt.errors import (
     StripCountMismatch,
     ValidationError,
 )
-from moltendt.geometry import _parse_quiver as quiver, builtin_names, euler_form, load_geometry
+from moltendt.geometry import (
+    _parse_quiver as quiver,
+    builtin_names,
+    euler_form,
+    load_geometry,
+    reference_grading,
+)
 from moltendt.matchings import (
+    CutList,
     _shortest_chain,
     perfect_matchings,
     toric_diagram,
@@ -357,6 +365,66 @@ class TestCuts:
         assert len(cuts) == 7623
         assert peak - base < 5 << 20
         assert held - base < 2 << 20
+
+    @pytest.mark.parametrize("source", builtin_names() + (2, 3, 4, 5))
+    def test_cut_list_decodes_to_the_oracle(self, source):
+        # q.cuts keeps the search's codes; read back, it is the list that
+        # perfect_matchings decodes from the same search
+        q = load(source)
+        cuts, want = q.cuts, perfect_matchings(q)
+        assert isinstance(cuts, CutList) and len(cuts) == len(want)
+        assert list(cuts) == want
+        assert [cuts[i] for i in range(len(want))] == want
+        assert cuts[-1] == want[-1] and cuts[-len(want)] == want[0]
+        with pytest.raises(IndexError):
+            cuts[len(want)]
+        for part in (slice(1, None), slice(None, -1), slice(None, None, -1),
+                     slice(1, None, 2), slice(3, 1), slice(-2, None)):
+            assert isinstance(cuts[part], CutList)
+            assert list(cuts[part]) == want[part]
+        runs: dict = {}
+        for c in want:
+            runs.setdefault(c.point, []).append(c)
+        diagram = toric_diagram(q)
+        assert diagram.cuts is cuts
+        assert list(diagram.points) == list(runs)
+        for p, part in diagram.points.items():
+            assert isinstance(part, CutList) and list(part) == runs[p]
+        count = Counter(a for c in want for a in c.arrows)
+        assert q.cut_weight == {a.id: count[a.id] for a in q.arrows}
+
+    def test_set_up_decodes_only_the_cuts_it_reads(self, monkeypatch):
+        # the corner cuts and the reference cut, cuts[0]
+        decoded = []
+        real = CutList._cut
+
+        def counting(self, code):
+            decoded.append(code)
+            return real(self, code)
+
+        monkeypatch.setattr(CutList, "_cut", counting)
+        q = load(5)
+        diagram = toric_diagram(q)
+        zigzag_analysis(q, diagram)
+        reference_grading(q)
+        assert len(decoded) == len(diagram.corners) + 1
+
+    def test_cut_list_memory(self):
+        # the 7,623 codes hold 0.39 MiB and the search peaks at 1.2 MiB; a
+        # tuple of their Cuts held 0.9 MiB, and the search that built it
+        # peaked at 2.0 MiB
+        q = load(5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cuts = q.cuts
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cuts) == 7623
+        assert held - base < 0.5 * 2**20
+        assert peak - base < 1.5 * 2**20
 
     def test_cut_is_a_value(self):
         a, b = perfect_matchings(load("spp")), perfect_matchings(load("spp"))

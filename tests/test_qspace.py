@@ -65,6 +65,24 @@ class TestVRational:
     def test_cyclotomic_quotient(self):
         assert lau({4: 1, 0: -1}) / lau({2: 1, 0: -1}) == lau({2: 1, 0: 1})
 
+    def test_unit_denominator_is_shared(self):
+        # every Laurent result holds the one _DEN_ONE; -x and x.shift(j)
+        # hold x's denominator
+        x = lau({1: 2, -1: 1})
+        third = VRational.fraction({0: 1}, {0: 3})
+        for y in (
+            x, -x, x.shift(3), x * 3, x + x, x - x, x * x, x.bar(),
+            x.adams(2), x.adams(2, "-v"), VRational.from_int(0), ONE,
+            VRational.vpow(2), lau(5), third * 3, third + third * 2,
+            VRational.fraction({0: 2}, {0: 2}), VRational({1: 4}, {0: 2}),
+            lau({3: 1, 1: -1}) / lau({1: 1, -1: -1}),
+        ):
+            assert y.is_laurent and y._den is qspace._DEN_ONE, y
+        f = VRational.fraction({0: 1}, {0: 1, 1: 1})
+        assert (-f)._den is f._den and f.shift(2)._den is f._den
+        assert (f * 1)._den is f._den
+        assert qspace._DEN_ONE == {0: 1}
+
     def test_monomial_denominator_stays_laurent(self):
         assert ONE / lau({1: 1}) == lau({-1: 1})
 
