@@ -51,11 +51,11 @@ def _fields(obj, keys, kind: str, entry: bool = True) -> list:
 
     if not isinstance(obj, dict):
         raise ParseError(f"{kind} {obj!r} must be an object")
-    for key in keys:
-        if key not in obj:
-            name = f"{kind} {obj!r}" if entry else kind
-            raise ParseError(f"{name} has no {key!r}")
-    return [obj[key] for key in keys]
+    try:
+        return [obj[key] for key in keys]
+    except KeyError as exc:
+        name = f"{kind} {obj!r}" if entry else kind
+        raise ParseError(f"{name} has no {exc.args[0]!r}") from None
 
 
 def _list(value, what: str) -> list:
@@ -65,13 +65,14 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _name(value, what: str):
-    """``value`` if it can name a node or an arrow; a list or an object
+def _names(values, what: str):
+    """``values`` if each can name a node or an arrow; a list or an object
     cannot."""
 
-    if isinstance(value, (list, dict)):
-        raise ParseError(f"{what} {value!r} must be a string or a number")
-    return value
+    for value in values:
+        if isinstance(value, (list, dict)):
+            raise ParseError(f"{what} {value!r} must be a string or a number")
+    return values
 
 
 def _reaches_all(nodes, steps) -> bool:
@@ -118,11 +119,8 @@ def _parse_tiling(obj: dict) -> tuple[dict, list]:
     edges = []
     for e in _list(edge_list, "tiling edges"):
         white, black, shift = _fields(e, ("white", "black", "shift"), "tiling edge")
-        edges.append((
-            _name(white, "edge endpoint"),
-            _name(black, "edge endpoint"),
-            _vec(shift, "edge shift"),
-        ))
+        _names((white, black), "edge endpoint")
+        edges.append((white, black, _vec(shift, "edge shift")))
     if not rows:
         raise ValidationError("tiling has no nodes")
     nodes = dict(rows)
@@ -276,7 +274,7 @@ class PeriodicQuiver:
     def cuts(self):
         """Every cut of the potential, canonically sorted, as a
         ``matchings.CutList``: the int codes of the cut search, each
-        decoded into a ``Cut`` only when it is read.  Set-up reads the
+        decoded into a ``Cut`` only when it is read; the pipeline reads the
         corner cuts and ``cuts[0]``.  On C^3/Z_5 x Z_5 the 7,623 codes hold
         0.39 MiB of traced memory, where a tuple of their ``Cut``s held
         0.9 MiB; on C^3/Z_6 x Z_6 the 263,640 codes hold 13 MiB, where the
@@ -316,16 +314,14 @@ def _parse_quiver(obj: dict) -> PeriodicQuiver:
         src, tgt, disp = _fields(a, ("src", "tgt", "disp"), "arrow")
         if not isinstance(a.get("id"), str):
             raise ParseError(f"arrow id {a.get('id')!r} must be a string")
-        src, tgt = _name(src, "arrow src"), _name(tgt, "arrow tgt")
+        _names((src, tgt), "arrow endpoint")
         arrows.append(Arrow(a["id"], src, tgt, _vec(disp, "arrow disp")))
     potential = []
     for t in _list(terms, "quiver potential"):
         sign, cycle = _fields(t, ("sign", "cycle"), "potential term")
-        for x in _list(cycle, "potential cycle"):
-            _name(x, "potential cycle entry")
+        _names(_list(cycle, "potential cycle"), "potential cycle entry")
         potential.append((sign, tuple(cycle)))
-    for v in _list(nodes, "quiver nodes"):
-        _name(v, "quiver node")
+    _names(_list(nodes, "quiver nodes"), "quiver node")
     return PeriodicQuiver(nodes, arrows, potential)
 
 

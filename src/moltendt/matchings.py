@@ -442,8 +442,9 @@ def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
     ``cuts`` is ``q.cuts``, and each value of ``points`` is the slice of
     it at one point, found from the codes' point field alone, so only the
     corner cuts are decoded.  On C^3/Z_6 x Z_6 a call, with its cut search,
-    peaks at 45 MB resident in its own process and takes 0.33 to 0.50 s;
-    with a ``Cut`` tuple per cut it peaked at 74 MB and took 0.87 s.
+    peaks at 40 MB resident in its own process and takes 0.36 to 0.48 s;
+    with a ``Cut`` tuple per cut it peaked at 74 MB and took 0.49 to
+    0.87 s (six runs each).
 
     AmbiguousCornerError is raised when a hull corner holds more than one
     cut, and ValidationError when the points span no area.

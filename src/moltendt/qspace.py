@@ -282,8 +282,9 @@ class VRational:
     A value's two dicts are never mutated once it is handed out, so values
     share them: every Laurent value holds the one module-level
     ``_DEN_ONE`` as its denominator, and ``-x`` and ``x.shift(j)`` hold
-    x's.  A walk's Z pass at ``catalog-sweep`` scale leaves 4,585 Laurent
-    coefficients, each of which held a private ``{0: 1}`` of 184 bytes."""
+    x's.  The outputs of one ``catalog-sweep`` pass of the benchmark hold
+    4,585 coefficients, all Laurent; each held a private ``{0: 1}`` of 224
+    bytes (Python 3.11)."""
 
     __slots__ = ("_num", "_den")
 

@@ -695,8 +695,8 @@ class TestQuiverValidation:
         "where, value, message",
         [
             (("arrows", 0), "x", "arrow 'x' must be an object"),
-            (("arrows", 0, "src"), [0], "arrow src [0] must be a string or a number"),
-            (("arrows", 0, "tgt"), {"n": 1}, "arrow tgt {'n': 1} must be a string or a number"),
+            (("arrows", 0, "src"), [0], "arrow endpoint [0] must be a string or a number"),
+            (("arrows", 0, "tgt"), {"n": 1}, "arrow endpoint {'n': 1} must be a string or a number"),
             (("nodes", 0), [0], "quiver node [0] must be a string or a number"),
             (
                 ("potential", 0, "cycle"),
