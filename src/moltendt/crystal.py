@@ -41,7 +41,8 @@ from .errors import (
     ValidationError,
     _check_int,
 )
-from .geometry import PeriodicQuiver, ReferenceGrading
+from .geometry import PeriodicQuiver
+from .matchings import toric_diagram
 from .qspace import _json_digits
 
 Atom = tuple
@@ -130,8 +131,6 @@ def parse_framing(q: PeriodicQuiver, text: str) -> Framing:
     if parts[0] == "d6" and len(parts) == 2:
         return framing_d6(q, _node_token(q, parts[1]))
     if parts[0] == "d4" and len(parts) in (2, 3):
-        from .matchings import toric_diagram
-
         corner = _int_token(parts[1])
         if corner is None:
             raise ValidationError(f"corner index {parts[1]!r} is not an integer")
@@ -212,7 +211,7 @@ class EmptyRoomConfig:
 
 def build_erc(
     q: PeriodicQuiver,
-    grading: ReferenceGrading,
+    grading: dict[str, int],
     framing: Framing,
     max_atoms: int,
 ) -> EmptyRoomConfig:
@@ -240,7 +239,7 @@ def build_erc(
                     " so it cannot raise the atom grade"
                 )
             dx, dy = a.disp
-            steps[pos[a.src]].append((a.tgt, pos[a.tgt], dx, dy, grading.count[a.id], w))
+            steps[pos[a.src]].append((a.tgt, pos[a.tgt], dx, dy, grading[a.id], w))
     top = max((s[-1] for ss in steps for s in ss), default=0) * (max_atoms - 1)
     root = (framing.node, (0, 0), 0)
     by_number, number = [root], {root: 0}

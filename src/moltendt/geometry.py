@@ -22,6 +22,7 @@ from importlib import resources
 from os import PathLike
 from pathlib import Path
 
+from . import matchings
 from .errors import ParseError, ValidationError
 
 Vec = tuple[int, int]
@@ -271,24 +272,17 @@ class PeriodicQuiver:
         return chi, bracket
 
     @functools.cached_property
-    def cuts(self):
-        """Every cut of the potential, canonically sorted, as a
-        ``matchings.CutList``: the int codes of the cut search, each
-        decoded into a ``Cut`` only when it is read; the pipeline reads the
-        corner cuts and ``cuts[0]``.  On C^3/Z_5 x Z_5 the 7,623 codes hold
-        0.39 MiB of traced memory, where a tuple of their ``Cut``s held
-        0.9 MiB; on C^3/Z_6 x Z_6 the 263,640 codes hold 13 MiB, where the
-        tuple held 30 MiB."""
+    def cuts(self) -> matchings.CutList:
+        """Every cut of the potential, canonically sorted:
+        ``matchings.perfect_matchings(self)``, found once per quiver.  Each
+        cut is kept as an int code and decoded into a ``Cut`` only when it
+        is read; the pipeline reads the corner cuts and ``cuts[0]``."""
 
-        from . import matchings
-
-        return matchings._cut_list(self)
+        return matchings.perfect_matchings(self)
 
     @functools.cached_property
     def cut_weight(self) -> dict[str, int]:
         """Arrow id -> the number of cuts that hold the arrow."""
-
-        from . import matchings
 
         return matchings.cut_weight(self)
 
@@ -428,13 +422,29 @@ def tiling_to_quiver(obj: dict) -> PeriodicQuiver:
 # loading
 
 
+class _JsonFraction(Fraction):
+    """A JSON number with a fraction or an exponent, read exactly.  Its
+    repr is the text it was written as, so an error message that prints
+    part of a document shows its numbers as the document wrote them."""
+
+    __slots__ = ("_text",)
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self._text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self._text
+
+
 def _load_json(path) -> dict:
     try:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text, parse_float=Fraction)
+        obj = json.loads(text, parse_float=_JsonFraction)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -478,19 +488,14 @@ def euler_form(q: PeriodicQuiver):
     return q._euler_form
 
 
-class ReferenceGrading:
-    """Cut counts of the arrows against the reference cut ``i0``.
+def reference_grading(q: PeriodicQuiver) -> dict[str, int]:
+    """Arrow id -> its cut count against the reference cut ``q.cuts[0]``:
+    1 if that cut holds the arrow, else 0.
 
-    Together with ``Arrow.disp`` they grade paths; every potential term has
-    total weight ((0, 0), 1), which is the central element of the weight
-    lattice.
+    Together with ``Arrow.disp`` the counts grade paths; every potential
+    term has total weight ((0, 0), 1), which is the central element of the
+    weight lattice.
     """
 
-    def __init__(self, i0: frozenset, count: dict):
-        self.i0 = i0
-        self.count = count
-
-
-def reference_grading(q: PeriodicQuiver) -> ReferenceGrading:
     i0 = q.cuts[0].arrows
-    return ReferenceGrading(i0, {a.id: (1 if a.id in i0 else 0) for a in q.arrows})
+    return {a.id: 1 if a.id in i0 else 0 for a in q.arrows}

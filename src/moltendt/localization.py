@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
     _check_int,
 )
-from .geometry import PeriodicQuiver, ReferenceGrading, euler_form
+from .geometry import PeriodicQuiver, euler_form
 from .matchings import ToricDiagramData
 from .qspace import _DEN_ONE, QSeries, VRational, _dim, _dim_key, _series
 
@@ -222,7 +222,7 @@ def _framed_steps(q: PeriodicQuiver, framing: Framing):
 def index(
     q: PeriodicQuiver,
     framing: Framing,
-    grading: ReferenceGrading,
+    grading: dict[str, int],
     crystal: Crystal,
     slope: Slope,
 ) -> IndexReport:
@@ -287,7 +287,7 @@ class _Row(dict):
 
 def framed_partition_function(
     q: PeriodicQuiver,
-    grading: ReferenceGrading,
+    grading: dict[str, int],
     framing: Framing,
     slope: Slope,
     bound: int,

@@ -24,7 +24,6 @@ from .errors import (
     StripCountMismatch,
     ValidationError,
 )
-from .geometry import PeriodicQuiver
 
 Vec = tuple[int, int]
 
@@ -65,40 +64,34 @@ class CutList(Sequence):
     and decoded into a ``Cut`` only when one is read.
 
     A code holds a cut's point field above its low L bits and the
-    complement of its mask in them (see ``_cut_list``).  Length,
+    complement of its mask in them (see ``perfect_matchings``).  Length,
     int and negative indexing and iteration behave as on a tuple of the
-    decoded cuts, and a slice is a CutList.  The lists sliced from one
-    share one point tuple per lattice point, made when a cut there is
-    first read.
+    decoded cuts, and a slice is a CutList.
     """
 
-    __slots__ = ("_codes", "_ids", "_low", "_radix", "_offset", "_points")
+    __slots__ = ("_codes", "_ids", "_low", "_radix", "_offset")
 
-    def __init__(self, codes: list, ids: tuple, radix: int, offset: int, points: dict):
+    def __init__(self, codes: list, ids: tuple, radix: int, offset: int):
         self._codes = codes
         self._ids = ids
         self._low = (1 << len(ids)) - 1
         self._radix = radix
         self._offset = offset
-        self._points = points  # point field -> (x, y)
 
     def __len__(self) -> int:
         return len(self._codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return CutList(self._codes[i], self._ids, self._radix, self._offset, self._points)
+            return CutList(self._codes[i], self._ids, self._radix, self._offset)
         return self._cut(self._codes[i])
 
     def __iter__(self):
         return map(self._cut, self._codes)
 
     def _point(self, field: int) -> Vec:
-        p = self._points.get(field)
-        if p is None:
-            r, s = self._radix, self._offset
-            p = self._points[field] = (field // r - s, field % r - s)
-        return p
+        r, s = self._radix, self._offset
+        return field // r - s, field % r - s
 
     def _cut(self, code: int) -> Cut:
         return tuple.__new__(
@@ -117,51 +110,29 @@ class CutList(Sequence):
             i = j
 
 
-def _ripple(planes: list[int], carry: int, j: int) -> None:
-    """Add one to the bit-sliced counts at the set bits of ``carry``,
-    from plane j up, by a carry that ripples through xor and and."""
-
-    while carry:
-        if j == len(planes):
-            planes.append(carry)
-            return
-        plane = planes[j]
-        planes[j] = plane ^ carry
-        carry &= plane
-        j += 1
-
-
 def cut_weight(q: PeriodicQuiver) -> dict[str, int]:
     """Arrow id -> the number of cuts that hold the arrow.
 
     The counts are bit-sliced: ``planes[j]`` is a mask, in the bit order
-    of ``Cut.mask``, of the arrows whose count has bit j set.  The masks
-    are read off the codes of ``q.cuts``, whose low bits are their
-    complements, so no cut is decoded.  They are added four at a time:
-    carry-save adders fold them into planes 0 and 1, and only the carry
-    out of plane 1 ripples up.  On C^3/Z_6 x Z_6 (263,640 cuts) this
-    takes 0.14 s, where one ripple per cut took 0.21 s (medians of 16
-    in-process rounds).
+    of ``Cut.mask``, of the arrows whose count has bit j set.  Each cut's
+    mask is read off its code in ``q.cuts``, whose low bits are its
+    complement, so no cut is decoded, and added by a carry that ripples
+    up the planes through xor and and.
     """
 
     cuts = q.cuts
-    codes, low = cuts._codes, cuts._low
-    masks = map(low.__xor__, map(low.__and__, codes))  # ~code & low
-    ones = twos = 0
-    high: list[int] = []  # planes 2 and up
-    for a, b, c, d in zip(masks, masks, masks, masks):
-        u = ones ^ a
-        ab = (ones & a) | (u & b)  # the carries of ones + a + b
-        ones = u ^ b
-        u = ones ^ c
-        cd = (ones & c) | (u & d)
-        ones = u ^ d
-        u = twos ^ ab
-        _ripple(high, (twos & ab) | (u & cd), 0)
-        twos = u ^ cd
-    planes = [ones, twos, *high]
-    for code in codes[len(codes) - len(codes) % 4 :]:  # the last, which zip drops
-        _ripple(planes, ~code & low, 0)
+    low = cuts._low
+    planes: list[int] = []
+    for code in cuts._codes:
+        carry, j = ~code & low, 0
+        while carry:
+            if j == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j += 1
     ids = cuts._ids
     top = len(ids) - 1
     count = {
@@ -225,30 +196,14 @@ def _shortest_chain(q: PeriodicQuiver, goal: Vec):
     raise ValidationError("arrow displacements do not reach the requested homology class")
 
 
-def perfect_matchings(q: PeriodicQuiver) -> list[Cut]:
-    """Every cut as a ``Cut``, canonically sorted by point and then by
-    sorted arrow ids.
-
-    The list decodes each code of the one search, ``_cut_list``, that
-    ``PeriodicQuiver.cuts`` keeps undecoded; the pipeline reads
-    ``q.cuts``, and the tests read this list as their oracle.  The cuts at
-    one lattice point share one point tuple.  On C^3/Z_5 x Z_5 the list
-    holds 0.9 MiB of traced memory and one call peaks at 1.2 MiB; on
-    C^3/Z_6 x Z_6 (263,640 cuts) it holds 30 MiB and peaks at 43 MiB.
-    These peaks were 2.0 and 50 MiB while the cuts were decoded inside the
-    search, next to its tables.  The codes alone, as ``q.cuts`` keeps
-    them, hold 0.39 and 13 MiB.
+def perfect_matchings(q: PeriodicQuiver) -> CutList:
+    """Every cut, canonically sorted by point and then by sorted arrow
+    ids, as its int code in a ``CutList``: the cut search, which
+    ``PeriodicQuiver.cuts`` runs once per quiver.
 
     NoCutError names the cause: unequal positive and negative term counts,
     a term whose every arrow repeats inside one of its terms, or no
     perfect matching at all.
-    """
-
-    return list(_cut_list(q))
-
-
-def _cut_list(q: PeriodicQuiver) -> CutList:
-    """Every cut as its int code, in a ``CutList``: the cut search.
 
     The positive terms are matched one by one, in a sweep order that next
     takes the term sharing the most negative terms (columns) with the
@@ -294,9 +249,6 @@ def _cut_list(q: PeriodicQuiver) -> CutList:
     list, so no ``Cut`` and no arrow set is built.  The peak traced
     memory of one call is 1.2 MiB on C^3/Z_5 x Z_5, of which the codes
     hold 0.39 MiB, and 21 MiB on C^3/Z_6 x Z_6, of which they hold 13 MiB.
-    With a ``Cut`` tuple per cut, built inside the search, these were 2.0
-    and 0.9 MiB, 50 and 30 MiB; with a (mask, x, y) tuple per partial cut
-    2.7 and 68 MiB peak, and with a frozenset per cut 14.4 and 414 MiB.
     """
 
     pos = [cyc for sign, cyc in q.potential if sign == 1]
@@ -400,7 +352,7 @@ def _cut_list(q: PeriodicQuiver) -> CutList:
             f" cannot pair the {n} positive terms one to one with the negative terms"
         )
     found.sort()
-    return CutList(found, ids, R, s, {})
+    return CutList(found, ids, R, s)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +394,7 @@ def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
     ``cuts`` is ``q.cuts``, and each value of ``points`` is the slice of
     it at one point, found from the codes' point field alone, so only the
     corner cuts are decoded.  On C^3/Z_6 x Z_6 a call, with its cut search,
-    peaks at 40 MB resident in its own process and takes 0.36 to 0.48 s;
-    with a ``Cut`` tuple per cut it peaked at 74 MB and took 0.49 to
-    0.87 s (six runs each).
+    peaks at 40 MB resident in its own process and takes 0.36 to 0.48 s.
 
     AmbiguousCornerError is raised when a hull corner holds more than one
     cut, and ValidationError when the points span no area.
@@ -518,17 +468,12 @@ class SideZigZag:
     def arc(self, k: int, kp: int) -> tuple:
         """Sum of strip vectors over the cyclic interval [k, kp[.  Both
         indices are read mod K, and k == kp (mod K) stands for the full
-        turn, the sum of all the alphas, which is ``ZigZagData.delta``."""
+        turn, the sum of all the alphas: delta, the all-ones vector over
+        the quiver's nodes, since the strips partition them."""
         n = len(self.alphas)
         span = (kp - k) % n or n
         rows = [self.alphas[j % n] for j in range(k, k + span)]
         return tuple(sum(row[v] for row in rows) for v in range(len(self.alphas[0])))
-
-
-@dataclass(frozen=True)
-class ZigZagData:
-    delta: tuple
-    sides: tuple
 
 
 def _successor(q: PeriodicQuiver, sign: int) -> dict[str, str]:
@@ -567,20 +512,20 @@ def _zigzag_path(arrows: frozenset, l: Vec, succ: dict, byid: dict) -> tuple | N
     return None
 
 
-def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
+def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> tuple[SideZigZag, ...]:
     """The zig-zag strips and paths of every side of the toric diagram.
 
-    One ``SideZigZag`` per diagram side, in the diagram's order, holds the
-    ``side`` itself and five tuples indexed by strip k.  The side's two
-    corner cuts define a height on the nodes, read mod ``side.K``: 0 at
-    ``q.nodes[0]``, up by one across an arrow of the end cut only, down by
-    one across an arrow of the start cut only, and level across any other
-    arrow, one of both cuts included.  Strip k is the level set of height
-    k.  ``strips[k]`` is its node set and ``alphas[k]`` its indicator
-    vector over ``q.nodes``; ``zig[k]`` holds the start-cut-only arrows
-    into the strip and ``zag[k]`` the end-cut-only arrows out of it.
-    ``ZigZagData.delta`` is the all-ones vector, the sum of each side's
-    alphas.
+    A tuple of one ``SideZigZag`` per diagram side, in the diagram's
+    order; each holds the ``side`` itself and five tuples indexed by strip
+    k.  The side's two corner cuts define a height on the nodes, read mod
+    ``side.K``: 0 at ``q.nodes[0]``, up by one across an arrow of the end
+    cut only, down by one across an arrow of the start cut only, and level
+    across any other arrow, one of both cuts included.  Strip k is the
+    level set of height k.  ``strips[k]`` is its node set and ``alphas[k]``
+    its indicator vector over ``q.nodes``; ``zig[k]`` holds the
+    start-cut-only arrows into the strip and ``zag[k]`` the end-cut-only
+    arrows out of it.  Each side's alphas sum to delta, the all-ones vector
+    over ``q.nodes``, which ``arc(k, k)`` returns for every k.
 
     One search labels every node.  It covers each strip whole, over the
     arrows of neither cut, before it crosses an arrow of a cut, so it
@@ -602,7 +547,6 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
     """
 
     byid = q.arrow_by_id
-    delta = (1,) * len(q.nodes)
     succ = {1: _successor(q, 1), -1: _successor(q, -1)}
     moves = q.moves
 
@@ -664,4 +608,4 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> ZigZagData:
                 )
             paths.append(path)
         sides.append(SideZigZag(side, tuple(paths), strips, alphas, zig, zag))
-    return ZigZagData(delta=delta, sides=tuple(sides))
+    return tuple(sides)

@@ -62,18 +62,17 @@ how to shift it and how to read it back as a VRational:
   shift by j moves P left by K j bits, and reading takes P's balanced
   base-2^K digits.  Products and sums are exact for every K.  Only reading
   back needs |c_i| < 2^(K-1), so K is fixed before packing from a bound on
-  the L1 norm of every result coefficient.  Width rule: qmul takes the
-  product of its inputs' total norms.  A division takes the largest g_n of
-  the norm recursion g_n = h_n + sum_{j=1..n} m_j g_{n-j}, where m_j and
-  h_n are the total norms of a at |d| = j and of h at |d| = n; g_n bounds
-  the sum of the quotient's norms over all d with |d| = n.  For h = 1 it
-  is g_0 = 1, g_n = sum_{j=1..n} m_j g_{n-j}.
+  the L1 norm of every result coefficient.  Width rule, for a division:
+  the largest g_n of the norm recursion g_n = h_n + sum_{j=1..n} m_j
+  g_{n-j}, where m_j and h_n are the total norms of a at |d| = j and of h
+  at |d| = n; g_n bounds the sum of the quotient's norms over all d with
+  |d| = n.  For h = 1 it is g_0 = 1, g_n = sum_{j=1..n} m_j g_{n-j}.
 - plain: X is a VRational and e starts at 0.  VRational.shift both shifts
   and reads.
 
-qmul and _divide choose from their input.  They pack when every
-coefficient is Laurent and, for a division, the constant term of a is
-+-v^k, so Log packs for a Laurent F.  Everything else is plain:
+qmul runs plain.  _divide chooses from its input: it packs when every
+coefficient of a and h is Laurent and the constant term of a is +-v^k,
+so qinv and Log pack for a Laurent F.  Everything else is plain:
 qinv(1 + v + ...) and Exp, whose 1/|d| scale is a true fraction.  Log's
 Moebius sum and its division by |d| act after the kernel, on VRational
 coefficients.
@@ -282,9 +281,7 @@ class VRational:
     A value's two dicts are never mutated once it is handed out, so values
     share them: every Laurent value holds the one module-level
     ``_DEN_ONE`` as its denominator, and ``-x`` and ``x.shift(j)`` hold
-    x's.  The outputs of one ``catalog-sweep`` pass of the benchmark hold
-    4,585 coefficients, all Laurent; each held a private ``{0: 1}`` of 224
-    bytes (Python 3.11)."""
+    x's."""
 
     __slots__ = ("_num", "_den")
 
@@ -771,16 +768,12 @@ def _norm(num):
     return sum(map(abs, num.values()))
 
 
-def _width(norm):
-    """The least K whose balanced base-2^K digits hold every coefficient of
-    absolute value at most ``norm``: norm < 2^(K-1)."""
-    return norm.bit_length() + 1
-
-
 def _quotient_width(a, h, bound):
     """K for a^-1 h, given the numerators of a, whose constant term is a
-    unit, and of h: the norm recursion of the module docstring.  a's
-    constant term lands in m_0, which the recursion never reads."""
+    unit, and of h: the norm recursion of the module docstring, then the
+    least K whose balanced base-2^K digits hold every coefficient of
+    absolute value at most its largest g_n, g_n < 2^(K-1).  a's constant
+    term lands in m_0, which the recursion never reads."""
     m, g = [0] * (bound + 1), [0] * (bound + 1)
     for d, num in a.items():
         m[sum(d)] += _norm(num)
@@ -788,7 +781,7 @@ def _quotient_width(a, h, bound):
         g[sum(d)] += _norm(num)
     for n in range(1, bound + 1):
         g[n] += sum(m[j] * g[n - j] for j in range(1, n + 1))
-    return _width(max(g))
+    return max(g).bit_length() + 1
 
 
 def _unpack(P, e, K):
@@ -849,22 +842,16 @@ def _products(acc, left, right, shift, twisted):
 
 
 def qmul(a, b):
-    """Twisted product: (ab)_d = sum over d'+d''=d of a_{d'} b_{d''} v^{<d',d''>}."""
+    """Twisted product: (ab)_d = sum over d'+d''=d of a_{d'} b_{d''} v^{<d',d''>},
+    on plain coefficients."""
     _shape_check(a, b)
-    na, nb = _laurent_nums(a.terms), _laurent_nums(b.terms)
-    if na is not None and nb is not None:
-        # every product coefficient is at most the product of the total norms
-        K = _width(sum(map(_norm, na.values())) * sum(map(_norm, nb.values())))
-        encode, shift, read = _packed(K)
-    else:
-        encode, shift, read = _PLAIN
     twisted = _twisted(a.twist)
-    right = _rows(b, encode, False)
+    right = _rows(b, _plain, False)
     out = {}
-    for s, row in enumerate(_rows(a, encode, True)):
+    for s, row in enumerate(_rows(a, _plain, True)):
         fits = [t for r in right[: a.bound - s + 1] for t in r]
-        _products(out, row, fits, shift, twisted)
-    return _keyed(a.bound, a.twist, {k: read(X, e) for k, (X, e) in out.items()})
+        _products(out, row, fits, VRational.shift, twisted)
+    return _keyed(a.bound, a.twist, {k: X.shift(e) for k, (X, e) in out.items()})
 
 
 def _solve(a, h, encoding, scale):

@@ -93,7 +93,7 @@ class TestErc:
                 for a in q.arrows:
                     if a.src != node:
                         continue
-                    (dx, dy), m = a.disp, grading.count[a.id]
+                    (dx, dy), m = a.disp, grading[a.id]
                     b = (a.tgt, (tx + dx, ty + dy), n + m)
                     g = erc.grade(atom) + weight[a.id]
                     if b in built:
@@ -194,7 +194,7 @@ def reference_erc(q, grading, framing, max_atoms):
     for a in q.arrows:
         if a.id in framing.allowed:
             w = q.cut_weight[a.id]
-            steps.setdefault(a.src, []).append((a.tgt, a.disp, grading.count[a.id], w))
+            steps.setdefault(a.src, []).append((a.tgt, a.disp, grading[a.id], w))
     top = max((w for ss in steps.values() for *_, w in ss), default=0) * (max_atoms - 1)
     root = (framing.node, (0, 0), 0)
     grades = {root: 0}

@@ -29,7 +29,6 @@ from moltendt.errors import (
 from moltendt.geometry import (
     Arrow,
     PeriodicQuiver,
-    ReferenceGrading,
     _parse_quiver,
     builtin_names,
     euler_form,
@@ -610,7 +609,7 @@ class TestInconsistentPoset:
         # with no arrow counted in the depth, the three C3 arrows close a
         # loop back to the root at grade 3
         q = load_geometry("c3")
-        grading = ReferenceGrading(frozenset(), {a.id: 0 for a in q.arrows})
+        grading = {a.id: 0 for a in q.arrows}
         with pytest.raises(InconsistentPoset, match="build_erc") as err:
             build_erc(q, grading, framing_d6(q, 0), 6)
         assert err.value.exit_code == 2

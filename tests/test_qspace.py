@@ -732,6 +732,7 @@ class TestFuzz:
 # Packed coefficients: integers far beyond one machine word, exponents far
 # apart, and the constant terms +-v^k that send qinv and Log down the packed
 # path.  Products of several 2^70 factors need widths of hundreds of bits.
+# qmul runs plain on the same inputs.
 
 big_coeffs = st.dictionaries(
     st.integers(-40, 40), st.integers(-(2**70), 2**70), min_size=1, max_size=3
@@ -822,17 +823,20 @@ class TestPackedPath:
             )
 
     def test_cancelling_digits_unpack_to_zero(self):
-        # (1 + x)(1 - x) = 1 - x^2 over the flat twist: the x terms cancel
+        # (1 + x)(1 - x) = 1 - x^2 over the flat twist: the x terms cancel,
+        # in the product and in the packed quotient's x^2 term
         a = QSeries(2, FLAT, {(0, 0): 1, (1, 0): lau({5: 2**66, -5: -1})})
         b = QSeries(2, FLAT, {(0, 0): 1, (1, 0): lau({5: -(2**66), -5: 1})})
-        assert qmul(a, b) == QSeries(
+        ab = QSeries(
             2, FLAT, {(0, 0): 1, (2, 0): lau({10: -(2**132), 0: 2**67, -10: -1})}
         )
+        assert qmul(a, b) == ab
+        assert _divide(a, ab) == b
 
 
 # Plain coefficients: Laurent polynomials divided by 2, by 1 + v and by
-# v - v^-1.  A true fraction off the constant term keeps qmul and qinv on
-# VRational coefficients.
+# v - v^-1.  A true fraction off the constant term keeps qinv on VRational
+# coefficients.
 
 plain_coeffs = st.builds(
     lambda c, den: c / den,

@@ -5,8 +5,8 @@ strips ``assert`` statements, so an assert in the package is a check
 that silently stops running.  Every error class the package declares
 must also be raised somewhere in it: a class that nothing raises promises
 a check that does not exist.  No module imports a name it never reads, no
-function takes a parameter it never reads, and no module-level private
-name goes unread in the package.
+function imports anything or takes a parameter it never reads, and no
+module-level private name goes unread in the package.
 The change log stays a readable size with each entry written once.
 """
 
@@ -84,6 +84,20 @@ def test_package_has_no_unused_imports():
         for name in sorted(_unused_imports(ast.parse(path.read_text(), filename=str(path))))
     ]
     assert not found, f"unused imports in the package: {found}"
+
+
+def test_package_imports_at_module_level():
+    # an import inside a function runs on every call and hides an import
+    # cycle between modules
+    found = [
+        f"{path.name}:{func.name}:{node.lineno}"
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not found, f"imports inside functions: {found}"
 
 
 def _private_definitions(tree):

@@ -277,16 +277,16 @@ def check_pdp3a(obj):
     q, d, zz = analyze(obj)
     require(sorted(s.K for s in d.sides) == [1, 2, 3], "pdp3a side lengths")
     require((d.b, d.i_int) == (6, 1), "pdp3a point counts")
-    k3 = next(s for s in zz.sides if s.side.K == 3)
+    k3 = next(s for s in zz if s.side.K == 3)
     require(k3.side.start_cut.arrows == fam(q, "phi1"), "pdp3a K=3 start cut")
     require(k3.side.end_cut.arrows == fam(q, "phi2"), "pdp3a K=3 end cut")
     require(k3.zig[0] == {"phi1_13", "phi1_40"}, "pdp3a K=3 zig")
     require(k3.zag[0] == {"phi2_01", "phi2_34"}, "pdp3a K=3 zag")
-    k2 = next(s for s in zz.sides if s.side.K == 2)
+    k2 = next(s for s in zz if s.side.K == 2)
     require(k2.side.start_cut.arrows == fam(q, "phi2"), "pdp3a K=2 start cut")
     require(k2.side.end_cut.arrows == fam(q, "phi0"), "pdp3a K=2 end cut")
     require(k2.zig[0] == {"phi2_12", "phi2_34", "phi2_50"}, "pdp3a K=2 zig")
-    k1 = next(s for s in zz.sides if s.side.K == 1)
+    k1 = next(s for s in zz if s.side.K == 1)
     require(k1.side.start_cut.arrows == fam(q, "phi0"), "pdp3a K=1 start cut")
     require(k1.side.end_cut.arrows == fam(q, "phi1"), "pdp3a K=1 end cut")
 
@@ -303,7 +303,7 @@ def check_spp(obj):
     require((d.b, d.i_int) == (5, 0), "spp point counts")
     sz = next(
         s
-        for s in zz.sides
+        for s in zz
         if {s.side.start_cut.arrows, s.side.end_cut.arrows}
         == {frozenset({"phi11", "phi32"}), frozenset({"phi11", "phi23"})}
     )
