@@ -349,6 +349,24 @@ class TestCuts:
             "df484b7a1f54bab8429edc3505aa0a4a13b684dd02a67cbb2c176fb911c5ad38"
         )
 
+    def test_search_memory(self):
+        # one uncached call returns the search's CutList of codes; a list of
+        # decoded Cuts peaked at 2.0 MiB and held 0.9 MiB, with a
+        # (mask, x, y) tuple per partial cut 2.7 and 1.0 MiB, and with a
+        # frozenset per cut 14.4 and 9.9 MiB
+        q = load(5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cuts = perfect_matchings(q)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cuts) == 7623
+        assert peak - base < 5 << 20
+        assert held - base < 2 << 20
+
     @pytest.mark.parametrize("source", builtin_names() + (2, 3, 4, 5))
     def test_cut_list_decodes_to_the_oracle(self, source):
         # q.cuts keeps the search's codes; decoded one by one, they are the
