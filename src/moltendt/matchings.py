@@ -29,44 +29,27 @@ Vec = tuple[int, int]
 
 
 class Cut(NamedTuple):
-    """A cut as a bit mask over its quiver's sorted arrow ids.
+    """A cut: the frozenset of its arrow ids and its lattice point.
 
-    ``ids`` is the quiver's sorted arrow-id tuple, shared by all its cuts;
-    the arrow of rank r in it sits on bit ``len(ids) - 1 - r`` of ``mask``,
-    so the least id holds the highest bit.  ``arrows`` decodes the mask
-    into a frozenset on each access; the pipeline reads it only for the
-    corner cuts and the reference cut.
-    """
+    The repr lists the arrows sorted, since a frozenset's own order
+    follows string hashing."""
 
-    mask: int
+    arrows: frozenset
     point: Vec
-    ids: tuple[str, ...]
-
-    @property
-    def arrows(self) -> frozenset:
-        return frozenset(self._sorted_arrows())
-
-    def _sorted_arrows(self) -> tuple[str, ...]:
-        ids, mask, top = self.ids, self.mask, len(self.ids) - 1
-        out = []
-        while mask:  # the highest bit holds the least id
-            b = mask.bit_length() - 1
-            out.append(ids[top - b])
-            mask ^= 1 << b
-        return tuple(out)
 
     def __repr__(self) -> str:
-        return f"Cut(arrows={self._sorted_arrows()!r}, point={self.point!r})"
+        return f"Cut(arrows={tuple(sorted(self.arrows))!r}, point={self.point!r})"
 
 
 class CutList(Sequence):
     """The cuts of a quiver, kept as the sorted int codes of their search
     and decoded into a ``Cut`` only when one is read.
 
-    A code holds a cut's point field above its low L bits and the
-    complement of its mask in them (see ``perfect_matchings``).  Length,
-    int and negative indexing and iteration behave as on a tuple of the
-    decoded cuts, and a slice is a CutList.
+    The code is this class's private storage: ``perfect_matchings`` writes
+    it and only this class reads it.  Length, int and negative indexing
+    and iteration behave as on a tuple of the decoded cuts, and a slice is
+    a CutList.  Two CutLists are equal when they hold the same codes of
+    the same search; like a list, a CutList is not hashable.
     """
 
     __slots__ = ("_codes", "_ids", "_low", "_radix", "_offset")
@@ -89,14 +72,29 @@ class CutList(Sequence):
     def __iter__(self):
         return map(self._cut, self._codes)
 
+    def __eq__(self, other):
+        if not isinstance(other, CutList):
+            return NotImplemented
+        return (self._ids, self._radix, self._offset, self._codes) == (
+            other._ids, other._radix, other._offset, other._codes
+        )
+
+    __hash__ = None
+
     def _point(self, field: int) -> Vec:
         r, s = self._radix, self._offset
         return field // r - s, field % r - s
 
     def _cut(self, code: int) -> Cut:
-        return tuple.__new__(
-            Cut, (~code & self._low, self._point(code >> len(self._ids)), self._ids)
-        )
+        # the low bits hold the complement of the arrow mask, the least id
+        # on the highest bit (see perfect_matchings)
+        ids, mask, top = self._ids, ~code & self._low, len(self._ids) - 1
+        arrows = []
+        while mask:
+            b = mask.bit_length() - 1
+            arrows.append(ids[top - b])
+            mask ^= 1 << b
+        return Cut(frozenset(arrows), self._point(code >> len(ids)))
 
     def _runs(self):
         """(point, CutList of the cuts there) for each lattice point, in
@@ -110,43 +108,13 @@ class CutList(Sequence):
             i = j
 
 
-def cut_weight(q: PeriodicQuiver) -> dict[str, int]:
-    """Arrow id -> the number of cuts that hold the arrow.
-
-    The counts are bit-sliced: ``planes[j]`` is a mask, in the bit order
-    of ``Cut.mask``, of the arrows whose count has bit j set.  Each cut's
-    mask is read off its code in ``q.cuts``, whose low bits are its
-    complement, so no cut is decoded, and added by a carry that ripples
-    up the planes through xor and and.
-    """
-
-    cuts = q.cuts
-    low = cuts._low
-    planes: list[int] = []
-    for code in cuts._codes:
-        carry, j = ~code & low, 0
-        while carry:
-            if j == len(planes):
-                planes.append(carry)
-                break
-            plane = planes[j]
-            planes[j] = plane ^ carry
-            carry &= plane
-            j += 1
-    ids = cuts._ids
-    top = len(ids) - 1
-    count = {
-        aid: sum((plane >> (top - r) & 1) << j for j, plane in enumerate(planes))
-        for r, aid in enumerate(ids)
-    }
-    return {aid: count[aid] for aid in q.arrow_by_id}
-
-
 @dataclass(frozen=True)
 class Side:
+    """A side of the toric diagram, clockwise from the corner of
+    ``start_cut`` to that of ``end_cut``: ``l`` is the primitive outward
+    normal and ``K`` the lattice length."""
+
     name: str
-    start: Vec
-    end: Vec
     l: Vec
     K: int
     start_cut: Cut
@@ -198,8 +166,8 @@ def _shortest_chain(q: PeriodicQuiver, goal: Vec):
 
 def perfect_matchings(q: PeriodicQuiver) -> CutList:
     """Every cut, canonically sorted by point and then by sorted arrow
-    ids, as its int code in a ``CutList``: the cut search, which
-    ``PeriodicQuiver.cuts`` runs once per quiver.
+    ids, in a ``CutList``: the cut search, which ``PeriodicQuiver.cuts``
+    runs once per quiver.
 
     NoCutError names the cause: unequal positive and negative term counts,
     a term whose every arrow repeats inside one of its terms, or no
@@ -211,9 +179,10 @@ def perfect_matchings(q: PeriodicQuiver) -> CutList:
     mask; its bit count is its depth.  A state is dropped when a free
     column lies out of reach of every remaining term.
 
-    Each partial cut is one int, its code.  With L arrows, the arrow of
-    sorted rank r on bit L - 1 - r of the arrow mask, and the point (x, y)
-    the sum of the arrows' chain counts chi = (chi_0, chi_1),
+    Each partial cut is one int, its code, which only ``CutList`` reads
+    back.  With L arrows, the arrow of sorted rank r on bit L - 1 - r of
+    the arrow mask, and the point (x, y) the sum of the arrows' chain
+    counts chi = (chi_0, chi_1),
 
         code = ((x + s) * R + (y + s)) * 2^L + (2^L - 1 - mask),
 
@@ -246,9 +215,10 @@ def perfect_matchings(q: PeriodicQuiver) -> CutList:
     The table stays small beside the cuts it yields: 4,494 masks and
     4,024 completions on C^3/Z_5 x Z_5, 28,904 and 40,967 on
     C^3/Z_6 x Z_6 (263,640 cuts).  The sorted codes are the returned
-    list, so no ``Cut`` and no arrow set is built.  The peak traced
-    memory of one call is 1.2 MiB on C^3/Z_5 x Z_5, of which the codes
-    hold 0.39 MiB, and 21 MiB on C^3/Z_6 x Z_6, of which they hold 13 MiB.
+    list's storage, so no ``Cut`` and no arrow set is built.  The peak
+    traced memory of one call is 1.2 MiB on C^3/Z_5 x Z_5, of which the
+    codes hold 0.39 MiB, and 21 MiB on C^3/Z_6 x Z_6, of which they hold
+    13 MiB.
     """
 
     pos = [cyc for sign, cyc in q.potential if sign == 1]
@@ -392,9 +362,10 @@ def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
     count ``i_int``.
 
     ``cuts`` is ``q.cuts``, and each value of ``points`` is the slice of
-    it at one point, found from the codes' point field alone, so only the
-    corner cuts are decoded.  On C^3/Z_6 x Z_6 a call, with its cut search,
-    peaks at 40 MB resident in its own process and takes 0.36 to 0.48 s.
+    it at one point, found without decoding a cut; each side holds its two
+    corner cuts, the only cuts decoded.  On C^3/Z_6 x Z_6 a call, with its
+    cut search, peaks at 40 MB resident in its own process and takes 0.36
+    to 0.48 s.
 
     AmbiguousCornerError is raised when a hull corner holds more than one
     cut, and ValidationError when the points span no area.
@@ -419,8 +390,6 @@ def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
         sides.append(
             Side(
                 name=f"z{i}",
-                start=p,
-                end=nxt,
                 l=(-ey // k, ex // k),
                 K=k,
                 start_cut=corner_cut[p],
@@ -430,18 +399,15 @@ def toric_diagram(q: PeriodicQuiver) -> ToricDiagramData:
     b = sum(s.K for s in sides)
     xs = [p[0] for p in corners]
     ys = [p[1] for p in corners]
+    edges = list(zip(corners, corners[1:] + corners[:1]))
     i_int = 0
     for x in range(min(xs) + 1, max(xs)):
         for y in range(min(ys) + 1, max(ys)):
-            inside = True
-            for s in sides:
-                ex, ey = s.end[0] - s.start[0], s.end[1] - s.start[1]
-                cross = ex * (y - s.start[1]) - ey * (x - s.start[0])
-                if cross >= 0:  # interior lies strictly right of clockwise edges
-                    inside = False
-                    break
-            if inside:
-                i_int += 1
+            # the interior lies strictly right of every clockwise edge
+            i_int += all(
+                (ex - sx) * (y - sy) < (ey - sy) * (x - sx)
+                for (sx, sy), (ex, ey) in edges
+            )
     return ToricDiagramData(
         cuts=q.cuts,
         points=points,

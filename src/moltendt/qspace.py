@@ -311,11 +311,6 @@ class VRational:
         return cls(_strip(_check_poly(d, "polynomial")), _raw=True)
 
     @classmethod
-    def fraction(cls, num, den):
-        """num / den for polynomials given as laurent() takes them."""
-        return cls(num, den)
-
-    @classmethod
     def vpow(cls, j):
         _check_int(j, "VRational.vpow exponent")
         return cls({j: 1}, _raw=True)
@@ -960,7 +955,7 @@ def exp_pleth(f, adams="v"):
         _adams_sum(_grade(f), lambda k: -1, adams),
         QSeries.unit(f.bound, f.twist),
         _PLAIN,
-        lambda n: (VRational.fraction({0: 1}, {0: max(n, 1)}), 0),
+        lambda n: (VRational({0: 1}, {0: max(n, 1)}), 0),
     )
 
 
@@ -1071,7 +1066,7 @@ def _json_digits(text):
 
 def _coeff_from_json(poly, den):
     if den is not None:
-        return VRational.fraction(
+        return VRational(
             {_json_digits(e): _json_int(c) for e, c in poly.items()},
             {_json_digits(e): _json_int(c) for e, c in den.items()},
         )
@@ -1083,7 +1078,7 @@ def _coeff_from_json(poly, den):
         else:
             fracs[_json_digits(e)] = Fraction(_json_int(val))
     den = lcm(*(f.denominator for f in fracs.values()))
-    return VRational.fraction({e: int(f * den) for e, f in fracs.items()}, {0: den})
+    return VRational({e: int(f * den) for e, f in fracs.items()}, {0: den})
 
 
 def series_from_json(obj, twist):

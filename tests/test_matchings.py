@@ -280,7 +280,6 @@ class TestCuts:
         assert [(c.arrows, c.point) for c in permuted.cuts] == [
             (c.arrows, c.point) for c in q.cuts
         ]
-        # the mask bits follow the sorted ids, not the arrow order
         assert permuted.cut_weight == q.cut_weight
 
     @pytest.mark.parametrize("source", ZIGZAG_SOURCES)
@@ -327,10 +326,10 @@ class TestCuts:
         # 263,640 cuts, with the count and digest of the search that stored
         # each cut as a frozenset of arrows.  Each cut hashes as its sorted
         # arrow ids, each followed by a space, then "x y" and a newline.
-        # The masks are decoded a byte at a time here, since decoding every
-        # cut through ``arrows`` alone takes seconds.
+        # The codes' masks are decoded a byte at a time here, since
+        # decoding every cut through ``arrows`` takes seconds.
         cuts = perfect_matchings(load(6))
-        ids = cuts[0].ids
+        ids = cuts._ids
         size = -(-len(ids) // 8)
         padded = ("",) * (8 * size - len(ids)) + ids
         table = [
@@ -339,11 +338,15 @@ class TestCuts:
             for i in range(size)
         ]
         digest = hashlib.sha256()
-        for k, c in enumerate(cuts):
-            line = "".join([table[i][byte] for i, byte in enumerate(c.mask.to_bytes(size, "big"))])
+        for k, code in enumerate(cuts._codes):
+            mask = ~code & cuts._low
+            line = "".join([table[i][byte] for i, byte in enumerate(mask.to_bytes(size, "big"))])
+            x, y = cuts._point(code >> len(ids))
             if k % 10_000 == 0:
+                c = cuts[k]
                 assert line == "".join(a + " " for a in sorted(c.arrows))
-            digest.update(f"{line}{c.point[0]} {c.point[1]}\n".encode())
+                assert (x, y) == c.point
+            digest.update(f"{line}{x} {y}\n".encode())
         assert len(cuts) == 263_640
         assert digest.hexdigest() == (
             "df484b7a1f54bab8429edc3505aa0a4a13b684dd02a67cbb2c176fb911c5ad38"
@@ -376,7 +379,8 @@ class TestCuts:
         cuts = q.cuts
         assert isinstance(cuts, CutList)
         want = list(cuts)
-        assert [(c.arrows, c.point) for c in want] == exact_cover_cuts(q)
+        oracle = exact_cover_cuts(q)
+        assert [(c.arrows, c.point) for c in want] == oracle
         assert [cuts[i] for i in range(len(want))] == want
         assert cuts[-1] == want[-1] and cuts[-len(want)] == want[0]
         with pytest.raises(IndexError):
@@ -393,7 +397,7 @@ class TestCuts:
         assert list(diagram.points) == list(runs)
         for p, part in diagram.points.items():
             assert isinstance(part, CutList) and list(part) == runs[p]
-        count = Counter(a for c in want for a in c.arrows)
+        count = Counter(a for arrows, _ in oracle for a in arrows)
         assert q.cut_weight == {a.id: count[a.id] for a in q.arrows}
 
     def test_set_up_decodes_only_the_cuts_it_reads(self, monkeypatch):
@@ -430,12 +434,16 @@ class TestCuts:
         assert peak - base < 1.5 * 2**20
 
     def test_cut_is_a_value(self):
-        a, b = list(perfect_matchings(load("spp"))), list(perfect_matchings(load("spp")))
+        x, y = perfect_matchings(load("spp")), perfect_matchings(load("spp"))
+        assert x == y and x is not y and x[1:] != x and x[1:] == y[1:]
+        with pytest.raises(TypeError):
+            hash(x)
+        a, b = list(x), list(y)
         assert a == b and a[0] is not b[0]
         assert [hash(c) for c in a] == [hash(c) for c in b]
         assert len(set(a + b)) == len(a)
         with pytest.raises(AttributeError):
-            a[0].mask = 0
+            a[0].arrows = frozenset()
         with pytest.raises(AttributeError):
             a[0].point = (0, 0)
         (corner,) = [c for c in a if c.arrows == {"phi11", "phi23"}]

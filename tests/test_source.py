@@ -7,10 +7,12 @@ must also be raised somewhere in it: a class that nothing raises promises
 a check that does not exist.  No module imports a name it never reads, no
 function imports anything or takes a parameter it never reads, and no
 module-level private name goes unread in the package.
-The change log stays a readable size with each entry written once.
+The change log stays a readable size with each entry written once, and
+``tools/code_lines.py`` counts only the lines that hold code.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from moltendt import errors
 
 SOURCES = sorted(Path(moltendt.__file__).parent.glob("*.py"))
 CHANGES = Path(__file__).resolve().parent.parent / "CHANGES.md"
+CODE_LINES_TOOL = CHANGES.parent / "tools" / "code_lines.py"
 
 
 def test_package_has_no_assert_statements():
@@ -186,3 +189,30 @@ def test_change_log_is_small_and_never_repeats_an_entry():
     entries = [line for line in text.splitlines() if line.strip()]
     repeated = sorted({line[:60] for line in entries if entries.count(line) > 1})
     assert not repeated, f"entries written more than once: {repeated}"
+
+
+def _code_lines_tool():
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    plain = 'def f(x):\n    s = """a\n    b"""\n    return x + 1\n'
+    noted = (
+        '"""A module\ndocstring."""\n\n'
+        'def f(x):\n    """Add one."""\n\n    # a comment\n'
+        '    s = """a\n    b"""\n    return x + 1  # a trailing comment\n'
+    )
+    tool = _code_lines_tool()
+    assert tool.code_lines(plain) == tool.code_lines(noted) == 4
+
+
+def test_code_lines_total_is_the_sum_of_its_modules(capsys):
+    tool = _code_lines_tool()
+    tool.main(Path(moltendt.__file__).parent)
+    *rows, (name, total) = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert name == "total"
+    assert rows == [[p.stem, f"{tool.code_lines(p.read_text()):,}"] for p in SOURCES]
+    assert int(total.replace(",", "")) == sum(int(n.replace(",", "")) for _, n in rows)
