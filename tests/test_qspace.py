@@ -261,14 +261,25 @@ class TestConstructorsRefuseNonInts:
     @pytest.mark.parametrize(
         "num, den, what",
         [
+            ({0: 1.5}, {0: 1}, "numerator"),
+            ({0.5: 1}, {0: 1}, "numerator"),
+            ({0: 1}, {0: 2.0}, "denominator"),
+            ({0: 1}, {True: 1}, "denominator"),
+            ([1], {0: 1}, "numerator"),
+        ],
+    )
+    def test_fraction(self, num, den, what):
+        # the two-argument form num / den checks both polynomials
+        with pytest.raises(ValidationError, match=what + " must map int exponents"):
+            VRational(num, den)
+
+    @pytest.mark.parametrize(
+        "num, den, what",
+        [
             ({0.5: 1}, None, "numerator"),
             ({0: 1.5}, None, "numerator"),
             ({0: 1}, {0: 2.0}, "denominator"),
             ({0: 1}, [1], "denominator"),
-            ({0: 1.5}, {0: 1}, "numerator"),
-            ({0.5: 1}, {0: 1}, "numerator"),
-            ({0: 1}, {True: 1}, "denominator"),
-            ([1], {0: 1}, "numerator"),
         ],
     )
     def test_constructor(self, num, den, what):
