@@ -31,19 +31,19 @@ path reads views of them keyed by atom.
 from __future__ import annotations
 
 import itertools
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import (
     BoundTooSmall,
     InconsistentPoset,
     InvalidSeedArrow,
-    ParseError,
     ValidationError,
     _check_int,
 )
 from .geometry import PeriodicQuiver
 from .matchings import toric_diagram
-from .qspace import _json_digits
 
 Atom = tuple
 
@@ -142,11 +142,9 @@ def parse_framing(q: PeriodicQuiver, text: str) -> Framing:
 
 
 def _int_token(token: str):
-    """The int that token spells as ``-?[0-9]+``, else None."""
-    try:
-        return _json_digits(token)
-    except ParseError:
-        return None
+    """The int that token spells as ``-?[0-9]+``, else None; see
+    ``parse_framing`` for why not ``int()`` alone."""
+    return int(token) if re.fullmatch(r"-?[0-9]+", token) else None
 
 
 def _node_token(q: PeriodicQuiver, token: str):
@@ -223,11 +221,27 @@ def build_erc(
     first reaches it.  An atom reached at two grades raises
     ``InconsistentPoset``; an allowed arrow in no cut raises
     ``ValidationError``, since the grade would not rise along it, and so
-    does a ``max_atoms`` that is not a nonnegative int.
+    does a ``max_atoms`` that is not a nonnegative int, a framing whose
+    node or allowed arrows are not the quiver's, and a grading that does
+    not give every arrow an int or gives two potential terms different
+    totals, since an atom's depth would then depend on the path to it.
     """
 
     if _check_int(max_atoms, "build_erc: max_atoms") < 0:
         raise ValidationError(f"build_erc: max_atoms must be nonnegative, got {max_atoms}")
+    if framing.node not in q.node_index:
+        raise ValidationError(f"build_erc: framing node {framing.node!r} not in the quiver")
+    foreign = sorted(framing.allowed.difference(q.arrow_by_id), key=repr)
+    if foreign:
+        raise ValidationError(f"build_erc: the framing allows non-arrows {foreign}")
+    if not isinstance(grading, Mapping):
+        raise ValidationError(f"build_erc: the grading {grading!r} is not a mapping")
+    ungraded = [a.id for a in q.arrows if type(grading.get(a.id)) is not int]
+    if ungraded:
+        raise ValidationError(f"build_erc: the grading gives no int to arrows {ungraded}")
+    totals = sorted({sum(map(grading.__getitem__, cycle)) for _, cycle in q.potential})
+    if len(totals) > 1:
+        raise ValidationError(f"build_erc: the potential terms total {totals} in the grading")
     pos = q.node_index
     steps = [[] for _ in q.nodes]
     for a in q.arrows:

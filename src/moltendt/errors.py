@@ -92,12 +92,6 @@ class NonzeroConstantTerm(MoltenDTError):
     exit_code = 1
 
 
-class NonCentralSigma(MoltenDTError):
-    """The bar anti-involution is coefficientwise only on central support."""
-
-    exit_code = 1
-
-
 class InfeasiblePattern(MoltenDTError):
     """No integral slope realizes the requested sign pattern."""
 

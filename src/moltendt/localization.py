@@ -46,7 +46,7 @@ from .errors import (
 )
 from .geometry import PeriodicQuiver, euler_form
 from .matchings import ToricDiagramData
-from .qspace import _DEN_ONE, QSeries, VRational, _dim, _dim_key, _series
+from .qspace import QSeries, VRational, _dim_key, _keyed
 
 Vec = tuple
 
@@ -446,7 +446,7 @@ def framed_partition_function(
         grow([0], [fresh(0)], 0, 0)
     del grow  # grow holds itself through its closure: free the walk's state now
     # the int order of the counts is term order, then index order
-    terms = {}
+    coeffs = {}
     last = None
     for k in sorted(counts):
         key, e = divmod(k + off, span)
@@ -455,6 +455,6 @@ def framed_partition_function(
             # every count is positive, so each poly is already a reduced
             # numerator
             poly = {}
-            terms[_dim(key, n, radix)] = VRational(poly, _DEN_ONE, _raw=True)
+            coeffs[key] = VRational(poly, _raw=True)
         poly[e - off] = counts[k]
-    return _series(bound, euler_form(q)[1], terms)
+    return _keyed(bound, euler_form(q)[1], coeffs)

@@ -13,7 +13,10 @@ and the bar involution L^{1/2} <-> L^{-1/2} becomes v <-> v^{-1}.  Series live
 in a truncated quantum affine space: coefficients are VRational values,
 dimension vectors are multiplied with the twist x^d x^{d'} = v^{<d,d'>}
 x^{d+d'} for an antisymmetric integer form, and every operation truncates at a
-fixed total degree.
+fixed total degree.  A BpsTable is a plain table of coefficients, with no
+product; the bar involution acts on tables only, coefficientwise, as
+`BpsTable.bar`.  Series and tables leave the module in one format,
+`series_to_json`, which nothing in the package reads back.
 
 Inside the kernels a dimension vector d over n nodes is one int, its key
 
@@ -83,19 +86,16 @@ pseudo-remainder sequence over the integers.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import (
-    NonCentralSigma,
     NonCommutingSupport,
     NonUnitConstantTerm,
     NonzeroConstantTerm,
-    ParseError,
     ShapeMismatch,
     ValidationError,
     _check_int,
@@ -111,7 +111,6 @@ __all__ = [
     "log_pleth",
     "apply_symmetry",
     "series_to_json",
-    "series_from_json",
 ]
 
 
@@ -970,32 +969,22 @@ def log_pleth(F, adams="v"):
     return s._with({d: c / sum(d) for d, c in s.terms.items()})
 
 
-def apply_symmetry(obj, which, node=None):
-    """S_{+i}, S_{-i} (v^{+-d_i} on the coefficient of x^d) or the bar
-    anti-involution Sigma.  On a QSeries, Sigma requires central support."""
+def apply_symmetry(obj, which, node):
+    """S_{+i} ("S+") or S_{-i} ("S-") at node i: v^{+-d_i} on the coefficient
+    of x^d, on a QSeries or a BpsTable.  The bar involution is
+    ``BpsTable.bar``."""
     if not isinstance(obj, (QSeries, BpsTable)):
         raise ValidationError("unsupported operand %r" % type(obj).__name__)
-    if which in ("S+", "S-"):
-        if node is None:
-            raise ValidationError("S symmetries need a node index")
-        _check_int(node, "node index")
-        if not 0 <= node < obj.nvars:
-            raise ValidationError("node index %r out of range" % (node,))
-        sign = 1 if which == "S+" else -1
-        terms = {d: c.shift(sign * d[node]) for d, c in obj.terms.items()}
-        if isinstance(obj, QSeries):
-            return obj._with(terms)
-        return BpsTable(obj.nvars, terms, obj.bound)
-    if which == "sigma":
-        if isinstance(obj, BpsTable):
-            return obj.bar()
-        for d in obj.support():
-            if any(_twist_vec(obj.twist, d)):
-                raise NonCentralSigma(
-                    "support vector %r is not central for the twist" % (d,)
-                )
-        return obj._with({d: c.bar() for d, c in obj.terms.items()})
-    raise ValidationError("unknown symmetry %r" % (which,))
+    if which not in ("S+", "S-"):
+        raise ValidationError("unknown symmetry %r" % (which,))
+    _check_int(node, "node index")
+    if not 0 <= node < obj.nvars:
+        raise ValidationError("node index %r out of range" % (node,))
+    sign = 1 if which == "S+" else -1
+    terms = {d: c.shift(sign * d[node]) for d, c in obj.terms.items()}
+    if isinstance(obj, QSeries):
+        return obj._with(terms)
+    return BpsTable(obj.nvars, terms, obj.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,57 +1033,3 @@ def series_to_json(obj):
             entry["den"] = den
         terms.append(entry)
     return {"bound": bound, "terms": terms}
-
-
-_DIGITS = re.compile(r"-?[0-9]+")
-
-
-def _json_int(value):
-    if type(value) is not int:
-        raise ParseError("%r is not an integer" % (value,))
-    return value
-
-
-def _json_digits(text):
-    """The integer that ``series_to_json`` writes as ``text``: an optional
-    minus sign and ASCII digits.  ``int()`` alone would also take
-    underscores, spaces, a plus sign and non-ASCII digits."""
-    if not isinstance(text, str) or not _DIGITS.fullmatch(text):
-        raise ParseError("%r is not an integer string" % (text,))
-    return int(text)
-
-
-def _coeff_from_json(poly, den):
-    if den is not None:
-        return VRational(
-            {_json_digits(e): _json_int(c) for e, c in poly.items()},
-            {_json_digits(e): _json_int(c) for e, c in den.items()},
-        )
-    fracs = {}
-    for e, val in poly.items():
-        if isinstance(val, str):
-            p, q = val.split("/")
-            fracs[_json_digits(e)] = Fraction(_json_digits(p), _json_digits(q))
-        else:
-            fracs[_json_digits(e)] = Fraction(_json_int(val))
-    den = lcm(*(f.denominator for f in fracs.values()))
-    return VRational({e: int(f * den) for e, f in fracs.items()}, {0: den})
-
-
-def series_from_json(obj, twist):
-    """Inverse of series_to_json.  A malformed document raises ParseError:
-    a missing key, a bound, ``d`` entry or coefficient that is not an
-    integer, an exponent key or fraction part other than ``-?[0-9]+``, or
-    two terms with one ``d``.  A term the series cannot hold
-    (wrong length, negative entry) raises ValidationError."""
-    try:
-        bound = _json_int(obj["bound"])
-        terms = {}
-        for entry in obj["terms"]:
-            d = tuple(_json_int(x) for x in entry["d"])
-            if d in terms:
-                raise ParseError("two terms with d = %r" % (list(d),))
-            terms[d] = _coeff_from_json(entry["poly"], entry.get("den"))
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise ParseError("malformed series object: %r" % (exc,)) from exc
-    return QSeries(bound, twist, terms)

@@ -7,6 +7,7 @@ generating functions by plain integer convolution.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,13 @@ from moltendt.crystal import (
     parse_framing,
 )
 from moltendt.errors import BoundTooSmall, InvalidSeedArrow, ValidationError
-from moltendt.geometry import _parse_quiver as quiver, builtin_names, load_geometry, reference_grading
+from moltendt.geometry import (
+    _parse_quiver as quiver,
+    builtin_names,
+    load_geometry,
+    reference_grading,
+    tiling_to_quiver,
+)
 from moltendt.matchings import toric_diagram
 
 
@@ -352,6 +359,22 @@ class TestD4:
             parse_framing(q, "d5:0")
         with pytest.raises(ValidationError):
             parse_framing(q, "d6:77")
+
+    def test_parse_framing_names_a_tiling_face(self):
+        # a quiver converted from a tiling names its nodes f0, f1, ...
+        q = tiling_to_quiver({
+            "nodes": [
+                {"id": "w", "color": "white", "pos": [0, 0]},
+                {"id": "b", "color": "black", "pos": [Fraction(1, 2), Fraction(1, 2)]},
+            ],
+            "edges": [
+                {"white": "w", "black": "b", "shift": s}
+                for s in ([0, 0], [-1, 0], [0, -1], [-1, -1])
+            ],
+        })
+        assert q.nodes == ("f0", "f1")
+        assert parse_framing(q, "d6:f0") == framing_d6(q, "f0")
+        assert parse_framing(q, "d6:f1").node == "f1"
 
     # int() read a space, a sign, an underscore and non-ASCII digits, and
     # text that is not a string raised AttributeError

@@ -505,6 +505,41 @@ class TestTilingConversion:
         with pytest.raises(ValidationError):
             load_geometry(write(tmp_path, bad))
 
+    def test_face_wrapping_the_torus_rejected(self, tmp_path):
+        # two parallel edges cut the torus into one annulus, not a disc
+        bad = {
+            "nodes": [
+                {"id": "w", "color": "white", "pos": [0, 0]},
+                {"id": "b", "color": "black", "pos": [0.5, 0]},
+            ],
+            "edges": [
+                {"white": "w", "black": "b", "shift": [0, 0]},
+                {"white": "w", "black": "b", "shift": [-1, 0]},
+            ],
+        }
+        with pytest.raises(ValidationError, match="^a traced face wraps around the torus$"):
+            load_geometry(write(tmp_path, bad))
+
+    def test_euler_characteristic_of_a_sphere_rejected(self, tmp_path):
+        # a square in the fundamental domain: two faces, inside and outside,
+        # four edges and four nodes
+        corners = [("w1", [0.25, 0.25]), ("b1", [0.75, 0.25]), ("w2", [0.75, 0.75]),
+                   ("b2", [0.25, 0.75])]
+        bad = {
+            "nodes": [
+                {"id": i, "color": "white" if i[0] == "w" else "black", "pos": pos}
+                for i, pos in corners
+            ],
+            "edges": [
+                {"white": w, "black": b, "shift": [0, 0]}
+                for w, b in [("w1", "b1"), ("w2", "b1"), ("w2", "b2"), ("w1", "b2")]
+            ],
+        }
+        with pytest.raises(
+            ValidationError, match="^face tracing gives Euler characteristic 2, not a torus$"
+        ):
+            load_geometry(write(tmp_path, bad))
+
     def test_empty_tiling_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="^tiling has no nodes$"):
             load_geometry(write(tmp_path, {"nodes": [], "edges": []}))

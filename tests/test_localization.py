@@ -6,6 +6,7 @@ the explicit slope; the degree-1 coefficient is additionally pinned by
 the known one-side-nilpotent answer for the three-loop geometry.
 """
 
+import dataclasses
 import gc
 import itertools
 
@@ -229,6 +230,25 @@ class TestMakeSlope:
         assert parse_interval(d, "z2..z2") == ("z2",)
         with pytest.raises(InvalidInterval):
             parse_interval(d, "z0")
+
+    def test_parse_interval_unknown_side(self):
+        q, grading, d = setting("spp")
+        with pytest.raises(InvalidInterval, match="names an unknown side"):
+            parse_interval(d, "z0..z9")
+
+    @pytest.mark.parametrize(
+        "ask", [{}, {"interval": ("z0",), "corner": 0}], ids=["neither", "both"]
+    )
+    def test_interval_or_corner(self, ask):
+        q, grading, d = setting("spp")
+        with pytest.raises(ValidationError, match="exactly one of interval or corner"):
+            make_slope(d, **ask)
+
+    @pytest.mark.parametrize("corner", [-1, 4])
+    def test_corner_out_of_range(self, corner):
+        q, grading, d = setting("spp")
+        with pytest.raises(ValidationError, match=f"corner index {corner} out of range 0..3"):
+            make_slope(d, corner=corner)
 
     @pytest.mark.parametrize("text", [None, 3, ("z0", "z1"), b"z0..z1"])
     def test_parse_interval_needs_text(self, text):
@@ -620,6 +640,60 @@ class TestInconsistentPoset:
         with pytest.raises(InconsistentPoset, match="enumerate_crystals") as err:
             enumerate_crystals(erc, 2)
         assert err.value.exit_code == 2
+
+
+class TestGradingAndFraming:
+    """``build_erc`` checks the grading and framing it is given; with either
+    wrong it returned a wrong Z and raised nothing."""
+
+    def test_unequal_term_totals(self):
+        # every arrow graded 1: spp's cubic and quartic terms total 3 and 4,
+        # and Z came out with 26 terms where the reference grading gives 22
+        q, grading, d = setting("spp")
+        ones = {a.id: 1 for a in q.arrows}
+        with pytest.raises(ValidationError, match=r"total \[3, 4\] in the grading") as err:
+            framed_partition_function(q, ones, framing_d6(q, 1), make_slope(d, corner=0), 5)
+        assert err.value.exit_code == 1
+
+    def test_grading_misses_an_arrow(self):
+        # a bare KeyError before
+        q, grading, _ = setting("spp")
+        del grading[q.arrows[0].id]
+        with pytest.raises(ValidationError, match=rf"no int to arrows \[{q.arrows[0].id!r}\]"):
+            build_erc(q, grading, framing_d6(q, 1), 3)
+
+    def test_grading_is_not_a_mapping(self):
+        # a TypeError before
+        q, grading, _ = setting("spp")
+        with pytest.raises(ValidationError, match="is not a mapping"):
+            build_erc(q, list(grading.values()), framing_d6(q, 1), 3)
+
+    @pytest.mark.parametrize("name", ["c3", "spp", "local-p2"])
+    def test_every_equal_total_grading_gives_one_z(self, name):
+        # a grading by another cut, or the reference grading doubled, puts
+        # the same total on every term and names the same atoms
+        q, grading, d = setting(name)
+        by_cut = {a.id: int(a.id in q.cuts[1].arrows) for a in q.arrows}
+        doubled = {k: 2 * g for k, g in grading.items()}
+        fr, s = framing_d6(q, q.nodes[0]), make_slope(d, corner=0)
+        z = framed_partition_function(q, grading, fr, s, 5)
+        for other in (by_cut, doubled):
+            assert framed_partition_function(q, other, fr, s, 5) == z
+
+    def test_framing_of_another_quiver(self):
+        # C3's framing on local P2: no allowed arrow is local P2's, and Z
+        # came out as 1 + x^(1,0,0)
+        q, grading, d = setting("local-p2")
+        fr = framing_d6(load_geometry("c3"), 0)
+        with pytest.raises(ValidationError, match=r"allows non-arrows \['a', 'b', 'c'\]"):
+            framed_partition_function(q, grading, fr, make_slope(d, corner=0), 4)
+
+    def test_framing_node_of_another_quiver(self):
+        q, grading, _ = setting("conifold")
+        fr = framing_d6(load_geometry("c3"), 0)
+        fr = dataclasses.replace(fr, allowed=frozenset(a.id for a in q.arrows))
+        with pytest.raises(ValidationError, match="framing node 0 not in the quiver"):
+            build_erc(q, grading, fr, 3)
 
 
 class TestNoCutArrow:

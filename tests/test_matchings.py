@@ -500,6 +500,13 @@ class TestCuts:
         with pytest.raises(NoCutError, match="^perfect_matchings: no perfect matching"):
             perfect_matchings(q)
 
+    def test_displacements_never_reach_the_class(self):
+        # every arrow is vertical, so no chain from the base node reaches
+        # its translate by (1, 0)
+        q = loops({"a": [0, 1], "b": [0, -1]}, [(1, ["a", "b"]), (-1, ["a", "b"])])
+        with pytest.raises(ValidationError, match="do not reach the requested homology class"):
+            perfect_matchings(q)
+
 
 class TestDiagram:
     def test_two_cuts_at_a_corner(self):
@@ -617,6 +624,19 @@ class TestDiagram:
 
 
 class TestZigZag:
+    def test_arrow_repeating_in_a_term(self):
+        # e repeats in the positive term [a, e, b, e], which has cuts but no
+        # successor map
+        q = loops(
+            {"a": [1, 0], "b": [-1, 0], "c": [0, 1], "d": [0, -1], "e": [0, 0]},
+            [(1, ["a", "e", "b", "e"]), (1, ["c", "d"]), (-1, ["a", "b"]),
+             (-1, ["c", "d", "e", "e"])],
+        )
+        diagram = toric_diagram(q)
+        assert len(diagram.corners) == 4
+        with pytest.raises(ValidationError, match="^arrow 'e' repeats in a potential term"):
+            zigzag_analysis(q, diagram)
+
     def test_c3_sides(self):
         q, d, zz = analyze("c3")
         for sz in zz:

@@ -14,11 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moltendt.errors import (
-    NonCentralSigma,
     NonCommutingSupport,
     NonUnitConstantTerm,
     NonzeroConstantTerm,
-    ParseError,
     ShapeMismatch,
     ValidationError,
 )
@@ -31,7 +29,6 @@ from moltendt.qspace import (
     log_pleth,
     qinv,
     qmul,
-    series_from_json,
     series_to_json,
 )
 from moltendt import qspace
@@ -148,6 +145,52 @@ class TestVRational:
         w = ONE / lau({1: 1, -1: -1})
         assert w**2 * lau({1: 1, -1: -1}) ** 2 == ONE
 
+    def test_int_on_the_left(self):
+        assert 2 / V == lau({-1: 2})
+        assert 1 - V == lau({0: 1, 1: -1})
+        assert 1 / lau({1: 1, -1: -1}) == VRational({1: 1}, {2: 1, 0: -1})
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x + "v",
+            lambda x: "v" - x,
+            lambda x: x - "v",
+            lambda x: x * "v",
+            lambda x: x / "v",
+            lambda x: "v" / x,
+            lambda x: x ** 0.5,
+        ],
+        ids=["add", "rsub", "sub", "mul", "truediv", "rtruediv", "pow"],
+    )
+    def test_foreign_operand_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(V)
+
+    def test_foreign_operand_is_unequal(self):
+        assert V != "v"
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            VRational({0: 1}, {})
+        with pytest.raises(ZeroDivisionError):
+            V / 0
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (lau({}), "0"),
+            (lau({0: 3}), "3"),
+            (lau({1: 1}), "v"),
+            (lau({1: -1}), "-v"),
+            (lau({2: 1, -1: -1}), "v^2-v^-1"),
+            (lau({2: -2, 1: 3}), "-2*v^2+3*v"),
+            (VRational({1: 1}, {2: 1, 0: -1}), "(v)/(v^2-1)"),
+        ],
+    )
+    def test_repr(self, value, text):
+        assert repr(value) == text
+
 
 def mono(bound, twist, d, c=1):
     return QSeries.monomial(bound, twist, d, c)
@@ -180,6 +223,19 @@ class TestQSeries:
     def test_truncation_respected(self):
         x0 = mono(1, FLAT, (1, 0))
         assert qmul(x0, x0).support() == []
+
+    def test_repr(self):
+        assert repr(QSeries(2, FLAT)) == "QSeries(0; bound=2)"
+        a = QSeries(2, FLAT, {(1, 0): V, (0, 1): 2})
+        assert repr(a) == "QSeries((2) x^[0, 1] + (v) x^[1, 0]; bound=2)"
+
+    def test_foreign_operand(self):
+        a = QSeries.unit(2, FLAT)
+        with pytest.raises(TypeError):
+            a + 1
+        with pytest.raises(TypeError):
+            a - 1
+        assert a != 1
 
 
 class TestConstructorsRefuseNonInts:
@@ -214,6 +270,39 @@ class TestConstructorsRefuseNonInts:
         with pytest.raises(ValidationError, match="bound must be an int"):
             BpsTable(2, {(1, 0): 1}, bound=2.5)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda t: QSeries(2, FLAT, t), lambda t: BpsTable(2, t)],
+        ids=["series", "table"],
+    )
+    def test_negative_dimension_entry(self, make):
+        with pytest.raises(ValidationError, match="has a negative entry"):
+            make({(-1, 0): 1})
+
+    def test_series_negative_bound(self):
+        with pytest.raises(ValidationError, match="bound must be nonnegative"):
+            QSeries(-1, FLAT)
+
+    @pytest.mark.parametrize(
+        "twist, match",
+        [
+            (((0, 1),), "twist form is not square"),
+            (((0, 1), (1, 0)), "twist form is not antisymmetric"),
+        ],
+    )
+    def test_series_twist_form(self, twist, match):
+        with pytest.raises(ValidationError, match=match):
+            QSeries(2, twist)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda t: QSeries(2, FLAT, t), lambda t: BpsTable(2, t)],
+        ids=["series", "table"],
+    )
+    def test_coefficient_type(self, make):
+        with pytest.raises(ValidationError, match="is not VRational or int"):
+            make({(1, 0): 1.5})
+
     def test_table_negative_bound(self):
         with pytest.raises(ValidationError, match="bound must be nonnegative"):
             BpsTable(2, {(1, 0): 1}, bound=-3)
@@ -245,9 +334,8 @@ class TestConstructorsRefuseNonInts:
             BpsTable(2, terms)
 
     def test_json_twist_shape(self):
-        doc = series_to_json(mono(2, FLAT, (1, 0)))
         with pytest.raises(ValidationError, match="twist must be a square int matrix"):
-            series_from_json(doc, 5)
+            QSeries(2, 5)
 
     # laurent({0: 1.5}) + 1 printed 2 but was not equal to 2, and
     # laurent({0.5: 1}) printed v^0
@@ -428,27 +516,82 @@ class TestSymmetries:
         assert apply_symmetry(a, "S-", node=0) == mono(3, FLAT, (2, 1), lau({-1: 1}))
         assert apply_symmetry(a, "S+", node=1) == mono(3, FLAT, (2, 1), lau({2: 1}))
 
-    def test_sigma_bar_on_central_support(self):
-        # (1,1) is not central for TWISTED (T maps it to (-1,1)), so the flat
-        # twist carries the allowed case and TWISTED exercises the guard.
-        a = QSeries.unit(2, TWISTED).scale(V) + mono(2, TWISTED, (1, 1), lau({1: 1, -1: -1}))
-        b = QSeries.unit(2, FLAT).scale(V) + mono(2, FLAT, (1, 1), lau({1: 1, -1: -1}))
-        bb = apply_symmetry(b, "sigma")
-        assert bb == QSeries.unit(2, FLAT).scale(lau({-1: 1})) + mono(
-            2, FLAT, (1, 1), lau({-1: 1, 1: -1})
-        )
-        with pytest.raises(NonCentralSigma):
-            apply_symmetry(a, "sigma")
+    def test_symmetry_operand(self):
+        with pytest.raises(ValidationError, match="unsupported operand 'dict'"):
+            apply_symmetry({(1, 0): 1}, "S+", 0)
+
+    # the bar involution is BpsTable.bar, not a symmetry apply_symmetry takes
+    @pytest.mark.parametrize("which", ["sigma", "S", None])
+    @pytest.mark.parametrize("table", [False, True])
+    def test_unknown_symmetry(self, which, table):
+        a = BpsTable(2, {(1, 0): V}) if table else mono(2, TWISTED, (1, 0), V)
+        with pytest.raises(ValidationError, match="unknown symmetry"):
+            apply_symmetry(a, which, 0)
+
+    @pytest.mark.parametrize("node", [-1, 2])
+    @pytest.mark.parametrize("table", [False, True])
+    def test_symmetry_node_out_of_range(self, node, table):
+        a = BpsTable(2, {(1, 0): V}) if table else mono(2, TWISTED, (1, 0), V)
+        with pytest.raises(ValidationError, match="node index %d out of range" % node):
+            apply_symmetry(a, "S-", node)
+
+    def test_symmetry_needs_a_node(self):
+        with pytest.raises(TypeError):
+            apply_symmetry(BpsTable(2, {(1, 0): V}), "S+")
 
     def test_sigma_intertwines_s_plus_minus_on_tables(self):
         t = BpsTable(2, {(1, 0): lau({3: 1}), (1, 1): lau({1: 1, -1: 2})})
-        lhs = apply_symmetry(apply_symmetry(t, "S+", node=0), "sigma")
-        rhs = apply_symmetry(apply_symmetry(t, "sigma"), "S-", node=0)
+        lhs = apply_symmetry(t, "S+", node=0).bar()
+        rhs = apply_symmetry(t.bar(), "S-", node=0)
         assert lhs == rhs
 
     def test_bps_table_bar_is_always_coefficientwise(self):
         t = BpsTable(2, {(1, 0): V})
-        assert apply_symmetry(t, "sigma") == BpsTable(2, {(1, 0): lau({-1: 1})})
+        assert t.bar() == BpsTable(2, {(1, 0): lau({-1: 1})})
+
+
+class TestBpsTable:
+    def test_sum_and_difference(self):
+        t = BpsTable(2, {(1, 0): V, (0, 1): 2})
+        u = BpsTable(2, {(1, 0): -V, (1, 1): ONE})
+        assert t + u == BpsTable(2, {(0, 1): 2, (1, 1): ONE})
+        assert t - u == BpsTable(2, {(1, 0): lau({1: 2}), (0, 1): 2, (1, 1): -1})
+        assert (t - t).support() == []
+        assert (t + u).support() == [(0, 1), (1, 1)]
+        assert list((t + u).items()) == [((0, 1), lau(2)), ((1, 1), ONE)]
+
+    def test_tables_over_different_node_sets(self):
+        t, u = BpsTable(2, {(1, 0): V}), BpsTable(3, {(1, 0, 0): V})
+        with pytest.raises(ShapeMismatch, match="different node sets"):
+            t + u
+        with pytest.raises(ShapeMismatch, match="different node sets"):
+            t - u
+        with pytest.raises(TypeError):
+            t + mono(2, FLAT, (1, 0))
+        with pytest.raises(TypeError):
+            t - 1
+        assert t != 1
+
+    def test_repr(self):
+        assert repr(BpsTable(2, {(1, 0): V, (0, 0): 0})) == "BpsTable(2 vars, 1 entries)"
+
+    @pytest.mark.parametrize("bound, written", [(None, 3), (5, 5)])
+    def test_json(self, bound, written):
+        t = BpsTable(2, {(2, 1): VRational({0: 1}, {0: 2}), (1, 0): V}, bound)
+        assert series_to_json(t) == {
+            "bound": written,
+            "terms": [
+                {"d": [1, 0], "poly": {"1": 1}},
+                {"d": [2, 1], "poly": {"0": "1/2"}},
+            ],
+        }
+
+    def test_json_of_an_empty_table(self):
+        assert series_to_json(BpsTable(2)) == {"bound": 0, "terms": []}
+
+    def test_json_operand(self):
+        with pytest.raises(ValidationError, match="unsupported operand 'dict'"):
+            series_to_json({"bound": 2, "terms": []})
 
 
 class TestJson:
@@ -458,13 +601,11 @@ class TestJson:
         assert obj["bound"] == 3
         assert obj["terms"][0] == {"d": [1, 0], "poly": {"-1": -2, "1": 1}}
         assert obj["terms"][1] == {"d": [0, 2], "poly": {"0": 1}}
-        assert series_from_json(obj, TWISTED) == a
 
     def test_rational_coefficients_use_fraction_strings(self):
         a = mono(2, FLAT, (1, 0), VRational({1: 1}, {0: 2}))
         obj = series_to_json(a)
         assert obj["terms"][0]["poly"] == {"1": "1/2"}
-        assert series_from_json(obj, FLAT) == a
 
     def test_nonlaurent_coefficients_carry_denominator(self):
         c = VRational({1: 1}, {2: 1, 0: -1})  # 1/(v - v^-1)
@@ -473,96 +614,6 @@ class TestJson:
         term = obj["terms"][0]
         assert term["poly"] == {"1": 1}
         assert term["den"] == {"0": -1, "2": 1}
-        assert series_from_json(obj, FLAT) == a
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"bound": 2},
-            {"terms": []},
-            {"bound": 2, "terms": [{"poly": {"0": 1}}]},
-            {"bound": 2, "terms": [{"d": [1]}]},
-            {"bound": 2, "terms": [{"d": [1], "poly": "x"}]},
-        ],
-        ids=["no-terms", "no-bound", "no-d", "no-poly", "poly-not-object"],
-    )
-    def test_malformed_document_raises_parse_error(self, obj):
-        with pytest.raises(ParseError):
-            series_from_json(obj, ((0,),))
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"bound": 2.9, "terms": []},
-            {"bound": "2", "terms": []},
-            {"bound": True, "terms": []},
-            {"bound": 2, "terms": [{"d": [1.5], "poly": {"0": 1}}]},
-            {"bound": 2, "terms": [{"d": ["1"], "poly": {"0": 1}}]},
-            {"bound": 2, "terms": [{"d": [True], "poly": {"0": 1}}]},
-            {"bound": 2, "terms": [{"d": [1], "poly": {"0": 1.5}}]},
-            {"bound": 2, "terms": [{"d": [1], "poly": {"0": False}}]},
-            {"bound": 2, "terms": [{"d": [1], "poly": {"0": 1}, "den": {"0": 2.0}}]},
-        ],
-        ids=[
-            "float-bound",
-            "string-bound",
-            "bool-bound",
-            "float-d",
-            "string-d",
-            "bool-d",
-            "float-poly",
-            "bool-poly",
-            "float-den",
-        ],
-    )
-    def test_non_integer_field_raises_parse_error(self, obj):
-        # int() would truncate 2.9 to 2 and 1.5 to 1, and accept "2" and True
-        with pytest.raises(ParseError, match="not an integer"):
-            series_from_json(obj, ((0,),))
-
-    @pytest.mark.parametrize(
-        "poly",
-        [{"1_0": 1}, {" 2": 1}, {"0": "1_1/2"}, {"+1": 1}, {"0": "1/ 2"}, {"٣": 1}],
-        ids=[
-            "underscore-exponent",
-            "space-exponent",
-            "underscore-fraction",
-            "plus-exponent",
-            "space-denominator",
-            "non-ascii-exponent",
-        ],
-    )
-    def test_integer_string_not_as_written_raises_parse_error(self, poly):
-        # int() reads "1_0" as 10, " 2" as 2 and "1_1/2" as 11/2
-        obj = {"bound": 2, "terms": [{"d": [1], "poly": poly}]}
-        with pytest.raises(ParseError, match="not an integer string"):
-            series_from_json(obj, ((0,),))
-
-    def test_nonlaurent_exponent_keys_are_checked_too(self):
-        obj = {"bound": 2, "terms": [{"d": [1], "poly": {"0": 1}, "den": {"1_0": 1}}]}
-        with pytest.raises(ParseError, match="not an integer string"):
-            series_from_json(obj, ((0,),))
-
-    def test_negative_exponents_and_fractions_still_parse(self):
-        obj = {"bound": 2, "terms": [{"d": [1], "poly": {"-2": "-3/4", "10": 5}}]}
-        c = series_from_json(obj, ((0,),)).terms[(1,)]
-        assert c == VRational({-2: -3, 10: 20}, {0: 4})
-
-    def test_repeated_dimension_vector_raises_parse_error(self):
-        obj = {
-            "bound": 2,
-            "terms": [{"d": [1], "poly": {"0": 1}}, {"d": [1], "poly": {"0": 5}}],
-        }
-        with pytest.raises(ParseError, match="two terms"):
-            series_from_json(obj, ((0,),))
-
-    @pytest.mark.parametrize(
-        "d", [[1, 1], [-1]], ids=["wrong-length", "negative"]
-    )
-    def test_invalid_dimension_vector_raises_validation_error(self, d):
-        obj = {"bound": 2, "terms": [{"d": d, "poly": {"0": 1}}]}
-        with pytest.raises(ValidationError, match="dimension vector"):
-            series_from_json(obj, ((0,),))
 
     def test_serialization_is_order_stable(self):
         a = mono(2, FLAT, (1, 0)) + mono(2, FLAT, (0, 1), V)
@@ -725,8 +776,8 @@ class TestFuzz:
     def test_sigma_s_intertwine_on_tables(self, terms):
         t = BpsTable(2, terms)
         for i in (0, 1):
-            lhs = apply_symmetry(apply_symmetry(t, "S+", node=i), "sigma")
-            rhs = apply_symmetry(apply_symmetry(t, "sigma"), "S-", node=i)
+            lhs = apply_symmetry(t, "S+", node=i).bar()
+            rhs = apply_symmetry(t.bar(), "S-", node=i)
             assert lhs == rhs
 
 
