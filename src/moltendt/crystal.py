@@ -93,6 +93,8 @@ def valid_seed_arrows(diagram, corner: int) -> frozenset:
 
 
 def framing_d4(q: PeriodicQuiver, diagram, corner: int, seed: str | None = None) -> Framing:
+    if diagram.cuts != q.cuts:
+        raise ValidationError("framing_d4: the diagram's cuts are not those of the quiver")
     _check_int(corner, "framing_d4: corner")
     if not 0 <= corner < len(diagram.corners):
         raise ValidationError(

@@ -509,9 +509,12 @@ def zigzag_analysis(q: PeriodicQuiver, diagram: ToricDiagramData) -> tuple[SideZ
     StripCountMismatch names the side.  It is raised when an arrow's two
     ends disagree with its step, when the strip count or the number of
     distinct heights differs from K, and when no zig-zag path matches a
-    strip, an empty one included.
+    strip, an empty one included.  A diagram of another quiver, whose cuts
+    are not ``q.cuts``, raises ValidationError.
     """
 
+    if diagram.cuts != q.cuts:
+        raise ValidationError("zigzag_analysis: the diagram's cuts are not those of the quiver")
     byid = q.arrow_by_id
     succ = {1: _successor(q, 1), -1: _successor(q, -1)}
     moves = q.moves

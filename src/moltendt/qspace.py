@@ -13,9 +13,11 @@ and the bar involution L^{1/2} <-> L^{-1/2} becomes v <-> v^{-1}.  Series live
 in a truncated quantum affine space: coefficients are VRational values,
 dimension vectors are multiplied with the twist x^d x^{d'} = v^{<d,d'>}
 x^{d+d'} for an antisymmetric integer form, and every operation truncates at a
-fixed total degree.  A BpsTable is a plain table of coefficients, with no
-product; the bar involution acts on tables only, coefficientwise, as
-`BpsTable.bar`.  Series and tables leave the module in one format,
+fixed total degree.  A BpsTable is a table of coefficients over the same
+vectors and up to its own bound, with no product; the bar involution acts
+on tables only, coefficientwise, as `BpsTable.bar`.  Both are bounded term
+tables, `_Table`, which holds their coefficient lookup, sums, scaling and
+equality once.  Series and tables leave the module in one format,
 `series_to_json`, which nothing in the package reads back.
 
 Inside the kernels a dimension vector d over n nodes is one int, its key
@@ -488,7 +490,7 @@ class VRational:
 
 
 # ---------------------------------------------------------------------------
-# QSeries: truncated twisted series with VRational coefficients
+# QSeries and BpsTable: bounded tables of VRational coefficients
 
 
 def _reduced(num, den):
@@ -579,38 +581,89 @@ def _clean_terms(nvars, terms):
     return clean
 
 
-def _merge_terms(a, b):
-    """Termwise sum of two coefficient tables, without zero coefficients."""
-    merged = dict(a)
-    for d, c in b.items():
-        s = merged.get(d, VRational.zero()) + c
-        if s:
-            merged[d] = s
-        else:
-            merged.pop(d, None)
-    return merged
+class _Table:
+    """A bounded table of dimension vector -> VRational, the part that
+    QSeries and BpsTable share.  ``terms`` holds nonzero coefficients in
+    term order, none at a total degree beyond ``bound``.  A subclass adds
+    one more slot, named by ``_SHAPE``, to the table's shape; two tables
+    meet in ``==``, ``+`` and ``-`` only when they are of one type, and in
+    ``+`` and ``-`` only when their shapes agree."""
 
+    __slots__ = ("bound", "terms")
 
-class QSeries:
-    """Truncated series over the quantum affine space of dimension vectors."""
-
-    __slots__ = ("bound", "twist", "terms")
-
-    def __init__(self, bound, twist, terms=None):
+    def __init__(self, bound, terms):
+        """Checked outside input; the subclass has set its shape slot."""
         self.bound = _check_int(bound, "bound")
         if self.bound < 0:
             raise ValidationError("bound must be nonnegative")
-        self.twist = _check_twist(twist)
         clean = _clean_terms(self.nvars, {} if terms is None else terms)
         self.terms = _sorted_terms(
             {d: c for d, c in clean.items() if c and sum(d) <= self.bound}
         )
 
     def _with(self, terms):
-        """A series of this bound and twist from terms this module computed
+        """A table of this type and shape from terms this module computed
         in term order: zero coefficients are dropped, nothing else is
-        checked.  Outside input goes through ``QSeries(...)``."""
-        return _series(self.bound, self.twist, {d: c for d, c in terms.items() if c})
+        checked.  Outside input goes through the constructor."""
+        out = object.__new__(type(self))
+        out.bound, out.terms = self.bound, {d: c for d, c in terms.items() if c}
+        setattr(out, self._SHAPE, getattr(self, self._SHAPE))
+        return out
+
+    def _shape(self):
+        return self.bound, getattr(self, self._SHAPE)
+
+    def _check_shape(self, other):
+        if self._shape() != other._shape():
+            raise ShapeMismatch(
+                "%s shapes differ: bound, %s %r/%r"
+                % (type(self).__name__, self._SHAPE, self._shape(), other._shape())
+            )
+
+    def coeff(self, d):
+        return self.terms.get(_check_vector(d, self.nvars), VRational.zero())
+
+    def support(self):
+        return list(self.terms)
+
+    def items(self):
+        return self.terms.items()
+
+    def scale(self, c):
+        return self._with({d: v * c for d, v in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_shape(other)
+        terms = dict(self.terms)
+        for d, c in other.terms.items():
+            terms[d] = terms.get(d, VRational.zero()) + c
+        return self._with(_sorted_terms(terms))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with({d: -c for d, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+
+class QSeries(_Table):
+    """Truncated series over the quantum affine space of dimension vectors."""
+
+    __slots__ = ("twist",)
+    _SHAPE = "twist"
+
+    def __init__(self, bound, twist, terms=None):
+        self.twist = _check_twist(twist)
+        super().__init__(bound, terms)
 
     @property
     def nvars(self):
@@ -624,41 +677,9 @@ class QSeries:
     def monomial(cls, bound, twist, d, c=1):
         return cls(bound, twist, {_check_vector(d, len(_check_twist(twist))): c})
 
-    def coeff(self, d):
-        return self.terms.get(_check_vector(d, self.nvars), VRational.zero())
-
     def constant_part(self):
         z = (0,) * self.nvars
         return self._with({z: self.coeff(z)})
-
-    def support(self):
-        return list(self.terms)
-
-    def scale(self, c):
-        return self._with({d: v * c for d, v in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        _shape_check(self, other)
-        return self._with(_sorted_terms(_merge_terms(self.terms, other.terms)))
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self._with({d: -c for d, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return (
-            self.bound == other.bound
-            and self.twist == other.twist
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         if not self.terms:
@@ -667,64 +688,34 @@ class QSeries:
         return "QSeries(%s; bound=%d)" % (" + ".join(bits), self.bound)
 
 
-class BpsTable:
-    """A plain table of dimension vector -> VRational.
+class BpsTable(_Table):
+    """A table of dimension vector -> VRational over nvars nodes, up to a
+    total degree bound.
 
     Unlike QSeries there is no product structure, so the bar involution acts
     coefficientwise unconditionally.
     """
 
-    __slots__ = ("nvars", "terms", "bound")
+    __slots__ = ("nvars",)
+    _SHAPE = "nvars"
 
-    def __init__(self, nvars, terms=None, bound=None):
+    def __init__(self, nvars, bound, terms=None):
         self.nvars = _check_int(nvars, "nvars")
-        self.bound = bound if bound is None else _check_int(bound, "bound")
-        if bound is not None and bound < 0:
-            raise ValidationError("bound must be nonnegative")
-        clean = _clean_terms(self.nvars, {} if terms is None else terms)
-        self.terms = _sorted_terms({d: c for d, c in clean.items() if c})
-
-    def coeff(self, d):
-        return self.terms.get(_check_vector(d, self.nvars), VRational.zero())
-
-    def support(self):
-        return list(self.terms)
-
-    def items(self):
-        return self.terms.items()
+        super().__init__(bound, terms)
 
     def bar(self):
-        return BpsTable(self.nvars, {d: c.bar() for d, c in self.terms.items()}, self.bound)
-
-    def __add__(self, other):
-        if not isinstance(other, BpsTable):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ShapeMismatch("tables over different node sets")
-        return BpsTable(self.nvars, _merge_terms(self.terms, other.terms), self.bound)
-
-    def __sub__(self, other):
-        if not isinstance(other, BpsTable):
-            return NotImplemented
-        return self + BpsTable(
-            other.nvars, {d: -c for d, c in other.terms.items()}, other.bound
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, BpsTable):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self._with({d: c.bar() for d, c in self.terms.items()})
 
     def __repr__(self):
         return "BpsTable(%d vars, %d entries)" % (self.nvars, len(self.terms))
 
 
-def _shape_check(a, b):
-    if a.bound != b.bound or a.twist != b.twist:
-        raise ShapeMismatch(
-            "series shapes differ: bound %d/%d, twist %s/%s"
-            % (a.bound, b.bound, a.twist, b.twist)
-        )
+def _operand(x, kind=QSeries):
+    """x if it is a ``kind``, else ValidationError; the kernels take a
+    QSeries only."""
+    if not isinstance(x, kind):
+        raise ValidationError("unsupported operand %r" % type(x).__name__)
+    return x
 
 
 def _rows(series, encode, left):
@@ -838,7 +829,7 @@ def _products(acc, left, right, shift, twisted):
 def qmul(a, b):
     """Twisted product: (ab)_d = sum over d'+d''=d of a_{d'} b_{d''} v^{<d',d''>},
     on plain coefficients."""
-    _shape_check(a, b)
+    _operand(a)._check_shape(_operand(b))
     twisted = _twisted(a.twist)
     right = _rows(b, _plain, False)
     out = {}
@@ -891,6 +882,7 @@ def _divide(a, h):
 
 def qinv(a):
     """Two-sided inverse; needs an invertible constant term."""
+    _operand(a)
     return _divide(a, _series(a.bound, a.twist, {(0,) * a.nvars: VRational.one()}))
 
 
@@ -945,6 +937,7 @@ def _grade(series):
 
 def exp_pleth(f, adams="v"):
     """Plethystic exponential on a pairwise commuting support."""
+    _operand(f)
     _check_adams(adams)
     if f.coeff((0,) * f.nvars):
         raise NonzeroConstantTerm("Exp needs a zero constant term")
@@ -960,6 +953,7 @@ def exp_pleth(f, adams="v"):
 
 def log_pleth(F, adams="v"):
     """Inverse of exp_pleth; needs constant term 1."""
+    _operand(F)
     _check_adams(adams)
     if F.coeff((0,) * F.nvars) != VRational.one():
         raise NonzeroConstantTerm("Log needs constant term 1")
@@ -973,18 +967,14 @@ def apply_symmetry(obj, which, node):
     """S_{+i} ("S+") or S_{-i} ("S-") at node i: v^{+-d_i} on the coefficient
     of x^d, on a QSeries or a BpsTable.  The bar involution is
     ``BpsTable.bar``."""
-    if not isinstance(obj, (QSeries, BpsTable)):
-        raise ValidationError("unsupported operand %r" % type(obj).__name__)
+    _operand(obj, _Table)
     if which not in ("S+", "S-"):
         raise ValidationError("unknown symmetry %r" % (which,))
     _check_int(node, "node index")
     if not 0 <= node < obj.nvars:
         raise ValidationError("node index %r out of range" % (node,))
     sign = 1 if which == "S+" else -1
-    terms = {d: c.shift(sign * d[node]) for d, c in obj.terms.items()}
-    if isinstance(obj, QSeries):
-        return obj._with(terms)
-    return BpsTable(obj.nvars, terms, obj.bound)
+    return obj._with({d: c.shift(sign * d[node]) for d, c in obj.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1011,20 +1001,14 @@ def _coeff_json(c):
 
 
 def series_to_json(obj):
-    """Series JSON: {"bound": N, "terms": [{"d": [...], "poly": {...}}]}.
+    """Series JSON: {"bound": N, "terms": [{"d": [...], "poly": {...}}]}, for
+    a QSeries or a BpsTable; N is the object's own bound.
 
     Coefficients that are Laurent over the rationals are emitted per
     v-exponent (integers, or "num/den" strings); a genuinely non-Laurent
     coefficient carries numerator in "poly" and an extra "den" object.
     """
-    if isinstance(obj, QSeries):
-        bound = obj.bound
-    elif isinstance(obj, BpsTable):
-        bound = obj.bound
-        if bound is None:
-            bound = max((sum(d) for d in obj.terms), default=0)
-    else:
-        raise ValidationError("unsupported operand %r" % type(obj).__name__)
+    _operand(obj, _Table)
     terms = []
     for d, c in obj.terms.items():
         poly, den = _coeff_json(c)
@@ -1032,4 +1016,4 @@ def series_to_json(obj):
         if den is not None:
             entry["den"] = den
         terms.append(entry)
-    return {"bound": bound, "terms": terms}
+    return {"bound": obj.bound, "terms": terms}

@@ -294,6 +294,19 @@ class TestD4:
         with pytest.raises(ValidationError):
             framing_d4(q, d, 9)
 
+    # a diagram of another quiver raised a bare KeyError ('b2', 'c'); a
+    # diagram of a fresh copy of the quiver holds equal cuts and is taken
+    @pytest.mark.parametrize("name, other", [("c3", "conifold"), ("conifold", "c3")])
+    def test_diagram_of_another_quiver(self, name, other):
+        q = load_geometry(name)
+        with pytest.raises(
+            ValidationError, match="^framing_d4: the diagram's cuts are not those of the quiver$"
+        ):
+            framing_d4(q, toric_diagram(load_geometry(other)), 0)
+        assert framing_d4(q, toric_diagram(load_geometry(name)), 0) == framing_d4(
+            q, toric_diagram(q), 0
+        )
+
     # the framing node, None, joins the quiver by the framing arrow into the
     # framed node and, for D4, by the companion arrow from the seed's
     # target, of displacement -seed.disp

@@ -624,6 +624,18 @@ class TestDiagram:
 
 
 class TestZigZag:
+    # a diagram of another quiver raised a bare KeyError: 'b2'; a diagram
+    # of a fresh copy of the quiver holds equal cuts and is taken
+    def test_diagram_of_another_quiver(self):
+        q = load_geometry("c3")
+        with pytest.raises(
+            ValidationError,
+            match="^zigzag_analysis: the diagram's cuts are not those of the quiver$",
+        ):
+            zigzag_analysis(q, toric_diagram(load_geometry("conifold")))
+        fresh = toric_diagram(load_geometry("c3"))
+        assert zigzag_analysis(q, fresh) == zigzag_analysis(q, toric_diagram(q))
+
     def test_arrow_repeating_in_a_term(self):
         # e repeats in the positive term [a, e, b, e], which has cuts but no
         # successor map

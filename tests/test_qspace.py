@@ -8,7 +8,8 @@ and the discriminating plethystic exponentials for both Adams conventions.
 from __future__ import annotations
 
 import json
-from operator import add
+from itertools import product
+from operator import add, neg, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,19 +261,19 @@ class TestConstructorsRefuseNonInts:
     @pytest.mark.parametrize("nvars", [2.0, True])
     def test_table_nvars(self, nvars):
         with pytest.raises(ValidationError, match="nvars must be an int"):
-            BpsTable(nvars, {})
+            BpsTable(nvars, 2, {})
 
     def test_table_dimension_entry(self):
         with pytest.raises(ValidationError, match="dimension vector entry"):
-            BpsTable(2, {(1.2, 0): 1})
+            BpsTable(2, 2, {(1.2, 0): 1})
 
     def test_table_bound(self):
         with pytest.raises(ValidationError, match="bound must be an int"):
-            BpsTable(2, {(1, 0): 1}, bound=2.5)
+            BpsTable(2, 2.5, {(1, 0): 1})
 
     @pytest.mark.parametrize(
         "make",
-        [lambda t: QSeries(2, FLAT, t), lambda t: BpsTable(2, t)],
+        [lambda t: QSeries(2, FLAT, t), lambda t: BpsTable(2, 2, t)],
         ids=["series", "table"],
     )
     def test_negative_dimension_entry(self, make):
@@ -296,7 +297,7 @@ class TestConstructorsRefuseNonInts:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda t: QSeries(2, FLAT, t), lambda t: BpsTable(2, t)],
+        [lambda t: QSeries(2, FLAT, t), lambda t: BpsTable(2, 2, t)],
         ids=["series", "table"],
     )
     def test_coefficient_type(self, make):
@@ -305,7 +306,7 @@ class TestConstructorsRefuseNonInts:
 
     def test_table_negative_bound(self):
         with pytest.raises(ValidationError, match="bound must be nonnegative"):
-            BpsTable(2, {(1, 0): 1}, bound=-3)
+            BpsTable(2, -3, {(1, 0): 1})
 
     # a dimension vector, twist or term table of the wrong shape raised
     # TypeError or AttributeError
@@ -331,7 +332,7 @@ class TestConstructorsRefuseNonInts:
     )
     def test_table_shape(self, terms, match):
         with pytest.raises(ValidationError, match=match):
-            BpsTable(2, terms)
+            BpsTable(2, 2, terms)
 
     def test_json_twist_shape(self):
         with pytest.raises(ValidationError, match="twist must be a square int matrix"):
@@ -407,7 +408,7 @@ class TestConstructorsRefuseNonInts:
         [
             lambda: QSeries.monomial(2, ((0,),), 5),
             lambda: QSeries.unit(2, ((0,),)).coeff(5),
-            lambda: BpsTable(1).coeff(5),
+            lambda: BpsTable(1, 2).coeff(5),
         ],
     )
     def test_vector_arguments(self, call):
@@ -417,7 +418,7 @@ class TestConstructorsRefuseNonInts:
     @pytest.mark.parametrize("node", [1.0, True, "1"])
     @pytest.mark.parametrize("table", [False, True])
     def test_symmetry_node(self, node, table):
-        a = BpsTable(2, {(1, 0): 1}) if table else mono(2, TWISTED, (1, 0))
+        a = BpsTable(2, 2, {(1, 0): 1}) if table else mono(2, TWISTED, (1, 0))
         with pytest.raises(ValidationError, match="node index must be an int"):
             apply_symmetry(a, "S+", node=node)
 
@@ -524,47 +525,48 @@ class TestSymmetries:
     @pytest.mark.parametrize("which", ["sigma", "S", None])
     @pytest.mark.parametrize("table", [False, True])
     def test_unknown_symmetry(self, which, table):
-        a = BpsTable(2, {(1, 0): V}) if table else mono(2, TWISTED, (1, 0), V)
+        a = BpsTable(2, 2, {(1, 0): V}) if table else mono(2, TWISTED, (1, 0), V)
         with pytest.raises(ValidationError, match="unknown symmetry"):
             apply_symmetry(a, which, 0)
 
     @pytest.mark.parametrize("node", [-1, 2])
     @pytest.mark.parametrize("table", [False, True])
     def test_symmetry_node_out_of_range(self, node, table):
-        a = BpsTable(2, {(1, 0): V}) if table else mono(2, TWISTED, (1, 0), V)
+        a = BpsTable(2, 2, {(1, 0): V}) if table else mono(2, TWISTED, (1, 0), V)
         with pytest.raises(ValidationError, match="node index %d out of range" % node):
             apply_symmetry(a, "S-", node)
 
     def test_symmetry_needs_a_node(self):
         with pytest.raises(TypeError):
-            apply_symmetry(BpsTable(2, {(1, 0): V}), "S+")
+            apply_symmetry(BpsTable(2, 2, {(1, 0): V}), "S+")
 
     def test_sigma_intertwines_s_plus_minus_on_tables(self):
-        t = BpsTable(2, {(1, 0): lau({3: 1}), (1, 1): lau({1: 1, -1: 2})})
+        t = BpsTable(2, 2, {(1, 0): lau({3: 1}), (1, 1): lau({1: 1, -1: 2})})
         lhs = apply_symmetry(t, "S+", node=0).bar()
         rhs = apply_symmetry(t.bar(), "S-", node=0)
         assert lhs == rhs
 
     def test_bps_table_bar_is_always_coefficientwise(self):
-        t = BpsTable(2, {(1, 0): V})
-        assert t.bar() == BpsTable(2, {(1, 0): lau({-1: 1})})
+        t = BpsTable(2, 2, {(1, 0): V})
+        assert t.bar() == BpsTable(2, 2, {(1, 0): lau({-1: 1})})
 
 
 class TestBpsTable:
     def test_sum_and_difference(self):
-        t = BpsTable(2, {(1, 0): V, (0, 1): 2})
-        u = BpsTable(2, {(1, 0): -V, (1, 1): ONE})
-        assert t + u == BpsTable(2, {(0, 1): 2, (1, 1): ONE})
-        assert t - u == BpsTable(2, {(1, 0): lau({1: 2}), (0, 1): 2, (1, 1): -1})
+        t = BpsTable(2, 2, {(1, 0): V, (0, 1): 2})
+        u = BpsTable(2, 2, {(1, 0): -V, (1, 1): ONE})
+        assert t + u == BpsTable(2, 2, {(0, 1): 2, (1, 1): ONE})
+        assert t - u == BpsTable(2, 2, {(1, 0): lau({1: 2}), (0, 1): 2, (1, 1): -1})
         assert (t - t).support() == []
         assert (t + u).support() == [(0, 1), (1, 1)]
         assert list((t + u).items()) == [((0, 1), lau(2)), ((1, 1), ONE)]
 
     def test_tables_over_different_node_sets(self):
-        t, u = BpsTable(2, {(1, 0): V}), BpsTable(3, {(1, 0, 0): V})
-        with pytest.raises(ShapeMismatch, match="different node sets"):
+        t, u = BpsTable(2, 2, {(1, 0): V}), BpsTable(3, 2, {(1, 0, 0): V})
+        mismatch = r"BpsTable shapes differ: bound, nvars \(2, 2\)/\(2, 3\)"
+        with pytest.raises(ShapeMismatch, match=mismatch):
             t + u
-        with pytest.raises(ShapeMismatch, match="different node sets"):
+        with pytest.raises(ShapeMismatch, match=mismatch):
             t - u
         with pytest.raises(TypeError):
             t + mono(2, FLAT, (1, 0))
@@ -573,11 +575,13 @@ class TestBpsTable:
         assert t != 1
 
     def test_repr(self):
-        assert repr(BpsTable(2, {(1, 0): V, (0, 0): 0})) == "BpsTable(2 vars, 1 entries)"
+        assert repr(BpsTable(2, 2, {(1, 0): V, (0, 0): 0})) == "BpsTable(2 vars, 1 entries)"
 
-    @pytest.mark.parametrize("bound, written", [(None, 3), (5, 5)])
+    # a table writes its own bound, which it needs: one built without a
+    # bound wrote its largest entry size
+    @pytest.mark.parametrize("bound, written", [(3, 3), (5, 5)])
     def test_json(self, bound, written):
-        t = BpsTable(2, {(2, 1): VRational({0: 1}, {0: 2}), (1, 0): V}, bound)
+        t = BpsTable(2, bound, {(2, 1): VRational({0: 1}, {0: 2}), (1, 0): V})
         assert series_to_json(t) == {
             "bound": written,
             "terms": [
@@ -587,11 +591,65 @@ class TestBpsTable:
         }
 
     def test_json_of_an_empty_table(self):
-        assert series_to_json(BpsTable(2)) == {"bound": 0, "terms": []}
+        assert series_to_json(BpsTable(2, 4)) == {"bound": 4, "terms": []}
 
     def test_json_operand(self):
         with pytest.raises(ValidationError, match="unsupported operand 'dict'"):
             series_to_json({"bound": 2, "terms": []})
+
+    def test_bound_is_required(self):
+        with pytest.raises(TypeError):
+            BpsTable(2, terms={(1, 0): V})
+
+    def test_entries_beyond_the_bound_are_dropped(self):
+        # a table of bound 2 kept its entry at (5,)
+        t = BpsTable(1, bound=2, terms={(5,): 1, (2,): V})
+        assert t.support() == [(2,)] and t.coeff((5,)) == 0
+        assert series_to_json(t) == {"bound": 2, "terms": [{"d": [2], "poly": {"1": 1}}]}
+
+    def test_bound_is_compared(self):
+        # empty tables of bounds 2 and 5 were equal but wrote different JSON
+        assert BpsTable(1, bound=2, terms={}) != BpsTable(1, bound=5, terms={})
+        assert BpsTable(1, bound=2, terms={(1,): V}) == BpsTable(1, bound=2, terms={(1,): V})
+
+    @pytest.mark.parametrize("op", [add, sub])
+    def test_tables_of_different_bounds(self, op):
+        # the sum of tables of bounds 1 and 3 kept bound 1 and held (3,)
+        t, u = BpsTable(1, bound=1, terms={(1,): V}), BpsTable(1, bound=3, terms={(3,): V})
+        with pytest.raises(ShapeMismatch, match=r"bound, nvars \(1, 1\)/\(3, 1\)"):
+            op(t, u)
+
+    def test_results_keep_the_shape(self):
+        t = BpsTable(2, 4, {(1, 0): V, (2, 2): lau({2: 1, 0: 3})})
+        for r in (
+            t.bar(), -t, t + t, t - t, t.scale(V), apply_symmetry(t, "S+", 0),
+            apply_symmetry(t, "S-", 1),
+        ):
+            assert type(r) is BpsTable and (r.nvars, r.bound) == (2, 4)
+        assert (t - t).support() == [] and t.scale(0).support() == []
+        assert t.bar().bar() == t == -(-t)
+
+
+class TestOperands:
+    # qmul(s, 5), qinv(table) and exp_pleth(None) raised AttributeError, and
+    # Log of a table NonzeroConstantTerm
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: qmul(mono(2, FLAT, (1, 0)), 5), "int"),
+            (lambda: qmul(5, mono(2, FLAT, (1, 0))), "int"),
+            (lambda: qmul(BpsTable(1, 2, {(1,): 1}), BpsTable(1, 2, {(1,): 1})), "BpsTable"),
+            (lambda: qinv(BpsTable(1, 1, {(0,): 1})), "BpsTable"),
+            (lambda: exp_pleth(None), "NoneType"),
+            (lambda: exp_pleth(BpsTable(1, 2, {(1,): 1})), "BpsTable"),
+            (lambda: log_pleth(BpsTable(1, 1, {(1,): 1})), "BpsTable"),
+            (lambda: log_pleth(BpsTable(1, 1, {(0,): 1})), "BpsTable"),
+        ],
+        ids=["qmul-int", "int-qmul", "qmul-tables", "qinv", "exp-none", "exp", "log", "log-unit"],
+    )
+    def test_kernels_take_series_only(self, call, name):
+        with pytest.raises(ValidationError, match="^unsupported operand '%s'$" % name):
+            call()
 
 
 class TestJson:
@@ -774,11 +832,37 @@ class TestFuzz:
     @settings(max_examples=40, deadline=None)
     @given(st.dictionaries(dims, coeffs, max_size=3))
     def test_sigma_s_intertwine_on_tables(self, terms):
-        t = BpsTable(2, terms)
+        t = BpsTable(2, 3, terms)
         for i in (0, 1):
             lhs = apply_symmetry(t, "S+", node=i).bar()
             rhs = apply_symmetry(t.bar(), "S-", node=i)
             assert lhs == rhs
+
+
+# QSeries and BpsTable share one bounded term table: a series of zero twist
+# and a table of the same terms and bound agree on everything but the product.
+
+ALL_DIMS = list(product(range(3), repeat=2))
+
+
+class TestSharedTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.dictionaries(dims, coeffs, max_size=4),
+        st.dictionaries(dims, coeffs, max_size=4),
+        coeffs,
+    )
+    def test_series_and_table_agree(self, bound, terms, other, c):
+        s, t = QSeries(bound, FLAT, terms), BpsTable(2, bound, terms)
+        s2, t2 = QSeries(bound, FLAT, other), BpsTable(2, bound, other)
+        pairs = [(s, t), (s + s2, t + t2), (s - s2, t - t2), (neg(s), neg(t))]
+        pairs.append((s.scale(c), t.scale(c)))
+        for a, b in pairs:
+            assert a.support() == b.support()
+            assert list(a.items()) == list(b.items())
+            assert [a.coeff(d) for d in ALL_DIMS] == [b.coeff(d) for d in ALL_DIMS]
+            assert series_to_json(a) == series_to_json(b)
 
 
 # Packed coefficients: integers far beyond one machine word, exponents far
