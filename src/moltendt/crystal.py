@@ -223,14 +223,17 @@ def build_erc(
     first reaches it.  An atom reached at two grades raises
     ``InconsistentPoset``; an allowed arrow in no cut raises
     ``ValidationError``, since the grade would not rise along it, and so
-    does a ``max_atoms`` that is not a nonnegative int, a framing whose
-    node or allowed arrows are not the quiver's, and a grading that does
-    not give every arrow an int or gives two potential terms different
-    totals, since an atom's depth would then depend on the path to it.
+    does a ``max_atoms`` that is not a nonnegative int, a framing that is
+    not a ``Framing`` or whose node or allowed arrows are not the
+    quiver's, and a grading that does not give every arrow an int or
+    gives two potential terms different totals, since an atom's depth
+    would then depend on the path to it.
     """
 
     if _check_int(max_atoms, "build_erc: max_atoms") < 0:
         raise ValidationError(f"build_erc: max_atoms must be nonnegative, got {max_atoms}")
+    if not isinstance(framing, Framing):
+        raise ValidationError(f"build_erc: framing {framing!r} is not a Framing")
     if framing.node not in q.node_index:
         raise ValidationError(f"build_erc: framing node {framing.node!r} not in the quiver")
     foreign = sorted(framing.allowed.difference(q.arrow_by_id), key=repr)

@@ -21,8 +21,9 @@ set up, in one place, when it first becomes addable; it then sums its
 memoised pairs with the framing atom and with the atoms of the current
 crystal, which the walk keeps as one stack: the pair term is symmetric in
 its two atoms, so one memo, a row per atom, serves both counts.  The last
-level is counted in its parent's loop.  The counts are read back in one
-pass over their sorted keys, which lists Z's terms in order.
+level is counted in its parent's loop.  The counts are grouped by
+dimension key in one pass, and ``_keyed`` sorts the keys once, which lists
+Z's terms in order.
 ``enumerate_crystals`` and ``index`` remain as the reference path that the
 walk is tested against.
 
@@ -340,13 +341,16 @@ def framed_partition_function(
     atom is set up in one place, ``fresh``, the first time it becomes
     addable: its key, its row and base(y), read from that row, are made
     there, so an atom the walk never reaches is never set up.  At the end
-    one int sort of the counts lists them in term order, then index order;
-    a count's int splits into its dimension key and index, a new
-    coefficient starts where the key changes, and each key is decoded
-    once.  Z is canonical by construction, so it is built without the
-    constructor's input checks.
+    each count's int splits into its dimension key and index, and one pass
+    groups the counts by key; ``_keyed`` sorts the keys once, into term
+    order, and decodes each once.  Z is canonical by construction, so it
+    is built without the constructor's input checks.  A ``slope`` that is
+    not a ``Slope`` raises ``ValidationError``, as does any input that
+    ``build_erc`` refuses.
     """
 
+    if not isinstance(slope, Slope):
+        raise ValidationError(f"framed_partition_function: slope {slope!r} is not a Slope")
     erc = build_erc(q, grading, framing, bound)
     arrows = _framed_steps(q, framing)
 
@@ -426,17 +430,16 @@ def framed_partition_function(
                 # the children of S + x have bound atoms: count them here
                 for y, step in zip(rest, steps[i + 1 :]):
                     counts[k + step + row[y]] += 1
-            if new or not fused:
-                # x is held while the new atoms are counted
-                held.append(x)
-                if fused:
-                    for y in new:
-                        counts[k + fresh(y)] += 1
-                else:
-                    after = [step + row[y] for y, step in zip(rest, steps[i + 1 :])]
-                    after += map(fresh, new)
-                    grow(rest + new, after, k, size + 1)
-                held.pop()
+            # x is held while the new atoms are counted
+            held.append(x)
+            if fused:
+                for y in new:
+                    counts[k + fresh(y)] += 1
+            else:
+                after = [step + row[y] for y, step in zip(rest, steps[i + 1 :])]
+                after += map(fresh, new)
+                grow(rest + new, after, k, size + 1)
+            held.pop()
             for y in ss:
                 missing[y] += 1
 
@@ -445,16 +448,10 @@ def framed_partition_function(
         # the root, number 0, is the one atom addable to the empty crystal
         grow([0], [fresh(0)], 0, 0)
     del grow  # grow holds itself through its closure: free the walk's state now
-    # the int order of the counts is term order, then index order
-    coeffs = {}
-    last = None
-    for k in sorted(counts):
+    # every count is positive, so each poly is already a reduced numerator
+    polys = defaultdict(dict)
+    for k, c in counts.items():
         key, e = divmod(k + off, span)
-        if key != last:
-            last = key
-            # every count is positive, so each poly is already a reduced
-            # numerator
-            poly = {}
-            coeffs[key] = VRational(poly, _raw=True)
-        poly[e - off] = counts[k]
+        polys[key][e - off] = c
+    coeffs = {key: VRational(poly, _raw=True) for key, poly in polys.items()}
     return _keyed(bound, euler_form(q)[1], coeffs)

@@ -200,24 +200,27 @@ def perfect_matchings(q: PeriodicQuiver) -> CutList:
 
     The search splits at depth h = min(n, n // 2 + 1) of the n terms.
     Above h it runs depth first, carrying the running mask of used columns
-    and code, and remembers only dead states (those with no completion),
-    as bare masks.  From h on it reads a table that holds, once per mask,
-    every completion as one summed int.  Many prefixes share few masks
-    near the end: on C^3/Z_5 x Z_5 the plain depth-first search made
-    80,166 calls for 7,623 cuts, 6,636 to 7,626 at each of the depths 19
-    to 24, where at most 25 masks exist at depth 24.  The split search
-    makes 8,756 calls above h and 8,707 table reads, and on C^3/Z_6 x Z_6
-    162,539 and 93,934.  h near n / 2 measured at or near the fastest
-    split: on C^3/Z_5 x Z_5 (h = 13 of 25) every h from 10 to 14 read
-    within noise, and on C^3/Z_6 x Z_6 (h = 19 of 36) 17 and 21 were 5%
-    and 11% slower.
+    and code.  From h on it reads a table that holds, once per mask, every
+    completion as one summed int.  Many prefixes share few masks near the
+    end: on C^3/Z_5 x Z_5 the plain depth-first search made 80,166 calls
+    for 7,623 cuts, 6,636 to 7,626 at each of the depths 19 to 24, where
+    at most 25 masks exist at depth 24.  The split search makes 10,198
+    calls above h and 9,822 table reads, and on C^3/Z_6 x Z_6 216,628 and
+    127,355.  Remembering the masks above h that have no completion cuts
+    those to 8,756 and 8,707 (162,539 and 93,934) but saves only 3% of the
+    search's time on C^3/Z_5 x Z_5 and 12% on C^3/Z_6 x Z_6, which no
+    workload runs, so the search remembers none.  A lower h trades memory
+    for time: on C^3/Z_5 x Z_5 (h = 13 of 25) h = 10 runs 12% faster and
+    peaks at 1.8 MiB against 1.1 MiB, and on C^3/Z_6 x Z_6 (h = 19 of 36)
+    h = 17 runs 25% faster at 23 MiB against 20 MiB, while h = 21 runs 60%
+    slower.
 
     The table stays small beside the cuts it yields: 4,494 masks and
     4,024 completions on C^3/Z_5 x Z_5, 28,904 and 40,967 on
     C^3/Z_6 x Z_6 (263,640 cuts).  The sorted codes are the returned
     list's storage, so no ``Cut`` and no arrow set is built.  The peak
-    traced memory of one call is 1.2 MiB on C^3/Z_5 x Z_5, of which the
-    codes hold 0.39 MiB, and 21 MiB on C^3/Z_6 x Z_6, of which they hold
+    traced memory of one call is 1.1 MiB on C^3/Z_5 x Z_5, of which the
+    codes hold 0.39 MiB, and 20 MiB on C^3/Z_6 x Z_6, of which they hold
     13 MiB.
     """
 
@@ -288,35 +291,26 @@ def perfect_matchings(q: PeriodicQuiver) -> CutList:
         return out
 
     found: list = []
-    dead: set[int] = set()  # masks above split with no completion
 
-    def grow(depth: int, mask: int, code: int) -> bool:
-        alive = False
+    def grow(depth: int, mask: int, code: int) -> None:
         unreached = out_of_reach[depth + 1]
         for bit, w in sweep[depth]:
             m = mask | bit
-            if m == mask or unreached & ~m or m in dead:
+            if m == mask or unreached & ~m:
                 continue
             if depth + 1 < split:
-                if grow(depth + 1, m, code + w):
-                    alive = True
-                else:
-                    dead.add(m)
-                continue
-            rest = tail(m)
-            if rest:
+                grow(depth + 1, m, code + w)
+            else:
                 c = code + w
-                found.extend([c + t for t in rest])
-                alive = True
-        return alive
+                found.extend([c + t for t in tail(m)])
 
     low = (1 << L) - 1
-    alive = grow(0, 0, ((s * R + s) << L) + low)
+    grow(0, 0, ((s * R + s) << L) + low)
     # Each closure holds itself through its cell; dropping both names frees
     # them, and with them the tables and the search's references, now
     # rather than at the next cycle collection.
     del grow, tail
-    if not alive:
+    if not found:
         raise NoCutError(
             "perfect_matchings: no perfect matching exists; the usable arrows"
             f" cannot pair the {n} positive terms one to one with the negative terms"

@@ -236,13 +236,6 @@ def _reduce(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, _DEN_ONE
-    if len(den) == 1:
-        # a monomial c v^k: num / c by their content gcd, v^-k into num
-        ((k, c),) = den.items()
-        g = gcd(_pcontent(num.values()), c)
-        if c < 0:
-            g = -g
-        return {e - k: x // g for e, x in num.items()}, _shared({0: c // g})
     nmin = min(num)
     dmin = min(den)
     offset = nmin - dmin
@@ -701,6 +694,8 @@ class BpsTable(_Table):
 
     def __init__(self, nvars, bound, terms=None):
         self.nvars = _check_int(nvars, "nvars")
+        if nvars < 0:
+            raise ValidationError("nvars must be nonnegative")
         super().__init__(bound, terms)
 
     def bar(self):

@@ -688,6 +688,22 @@ class TestGradingAndFraming:
         with pytest.raises(ValidationError, match=r"allows non-arrows \['a', 'b', 'c'\]"):
             framed_partition_function(q, grading, fr, make_slope(d, corner=0), 4)
 
+    def test_framing_is_not_a_framing(self):
+        # an AttributeError: 'str' object has no attribute 'node'
+        q, grading, _ = setting("c3")
+        with pytest.raises(ValidationError, match="^build_erc: framing 'd6:0' is not a Framing"):
+            build_erc(q, grading, "d6:0", 3)
+
+    @pytest.mark.parametrize("slope", [None, ((1, 0), (0, 1))])
+    def test_slope_is_not_a_slope(self, slope):
+        # an AttributeError: ... has no attribute 's'
+        q, grading, _ = setting("c3")
+        with pytest.raises(
+            ValidationError, match="^framed_partition_function: slope .* is not a Slope"
+        ) as err:
+            framed_partition_function(q, grading, framing_d6(q, 0), slope, 3)
+        assert repr(slope) in str(err.value)
+
     def test_framing_node_of_another_quiver(self):
         q, grading, _ = setting("conifold")
         fr = framing_d6(load_geometry("c3"), 0)

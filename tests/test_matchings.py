@@ -417,7 +417,7 @@ class TestCuts:
         assert len(decoded) == len(diagram.corners) + 1
 
     def test_cut_list_memory(self):
-        # the 7,623 codes hold 0.39 MiB and the search peaks at 1.2 MiB; a
+        # the 7,623 codes hold 0.39 MiB and the search peaks at 1.1 MiB; a
         # list of their decoded Cuts holds 0.9 MiB, and a search that
         # decodes them peaks at 2.0 MiB
         q = load(5)

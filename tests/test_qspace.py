@@ -8,6 +8,7 @@ and the discriminating plethystic exponentials for both Adams conventions.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import product
 from operator import add, neg, sub
 
@@ -597,6 +598,11 @@ class TestBpsTable:
         with pytest.raises(ValidationError, match="unsupported operand 'dict'"):
             series_to_json({"bound": 2, "terms": []})
 
+    def test_nvars_must_be_nonnegative(self):
+        # BpsTable(-1, 2) was built and wrote {"bound": 2, "terms": []}
+        with pytest.raises(ValidationError, match="nvars must be nonnegative"):
+            BpsTable(-1, 2)
+
     def test_bound_is_required(self):
         with pytest.raises(TypeError):
             BpsTable(2, terms={(1, 0): V})
@@ -1154,9 +1160,9 @@ class TestDimensionKey:
         assert series == QSeries(bound, flat, coeffs)
 
 
-# VRational's int shortcuts against the polynomial gcd: a common factor
-# 1 + v keeps the denominator from being a monomial, so the general
-# reduction runs.
+# VRational's int shortcuts against the polynomial gcd, which is the only
+# reduction: a common factor 1 + v on both sides gives the gcd a factor to
+# cancel, and a monomial denominator skips it.
 
 
 def _times_one_plus_v(p):
@@ -1191,3 +1197,14 @@ class TestIntShortcuts:
     def test_monomial_denominator(self, num, den):
         want = VRational(_times_one_plus_v(num), _times_one_plus_v(den))
         assert VRational(num, den) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys, st.integers(-4, 4), st.integers(-12, 12).filter(bool))
+    def test_monomial_denominator_against_fractions(self, num, k, c):
+        # num / (c v^k) read back per exponent as series_to_json writes it,
+        # against Fraction
+        table = BpsTable(1, 0, {(0,): VRational(num, {k: c})})
+        (term,) = series_to_json(table)["terms"]
+        assert "den" not in term
+        got = {int(e): Fraction(x) for e, x in term["poly"].items()}
+        assert got == {e - k: Fraction(x, c) for e, x in num.items() if x}
